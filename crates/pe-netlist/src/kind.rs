@@ -129,39 +129,44 @@ impl CellKind {
 
     /// Width-generic word-parallel truth function: a `[u64; W]` slab packs
     /// `64 * W` lanes per net (word `i` holds lanes `64*i .. 64*i+63`), and
-    /// one call evaluates the cell for all of them. The match on the cell
-    /// kind happens once per call, outside the word loop, so each arm
-    /// monomorphizes to `W` straight-line bitwise ops — at `W = 1` this
-    /// compiles to exactly [`CellKind::eval_packed`].
+    /// one call evaluates the cell for all of them. The form is arity-free:
+    /// the three pin slabs are always passed, and pins past the cell's
+    /// [`CellKind::arity`] are ignored (callers pad them with any slab,
+    /// conventionally the first input), so a compiled sweep program calls
+    /// it without a per-cell input slice. The match on the cell kind happens
+    /// once per call, outside the word loop, so each arm monomorphizes to
+    /// `W` straight-line bitwise ops — at `W = 1` this computes exactly
+    /// [`CellKind::eval_packed`].
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != self.arity()` or if called on a sequential
-    /// cell (use [`CellKind::next_state_packed_wide`]).
+    /// Panics if called on a sequential cell (use
+    /// [`CellKind::next_state_packed_wide`]).
     #[must_use]
     #[inline]
-    pub fn eval_packed_wide<const W: usize>(&self, inputs: &[[u64; W]]) -> [u64; W] {
-        assert!(!self.is_sequential(), "eval_packed_wide called on sequential cell {self:?}");
-        assert_eq!(inputs.len(), self.arity(), "arity mismatch for {self:?}");
+    pub fn eval_packed_wide<const W: usize>(
+        &self,
+        a: &[u64; W],
+        b: &[u64; W],
+        c: &[u64; W],
+    ) -> [u64; W] {
         use core::array::from_fn;
         match self {
-            CellKind::Inv => from_fn(|i| !inputs[0][i]),
-            CellKind::Buf => inputs[0],
-            CellKind::Nand2 => from_fn(|i| !(inputs[0][i] & inputs[1][i])),
-            CellKind::Nor2 => from_fn(|i| !(inputs[0][i] | inputs[1][i])),
-            CellKind::And2 => from_fn(|i| inputs[0][i] & inputs[1][i]),
-            CellKind::Or2 => from_fn(|i| inputs[0][i] | inputs[1][i]),
-            CellKind::Xor2 => from_fn(|i| inputs[0][i] ^ inputs[1][i]),
-            CellKind::Xnor2 => from_fn(|i| !(inputs[0][i] ^ inputs[1][i])),
-            CellKind::And3 => from_fn(|i| inputs[0][i] & inputs[1][i] & inputs[2][i]),
-            CellKind::Or3 => from_fn(|i| inputs[0][i] | inputs[1][i] | inputs[2][i]),
-            CellKind::Mux2 => {
-                from_fn(|i| (inputs[0][i] & !inputs[2][i]) | (inputs[1][i] & inputs[2][i]))
+            CellKind::Inv => from_fn(|i| !a[i]),
+            CellKind::Buf => *a,
+            CellKind::Nand2 => from_fn(|i| !(a[i] & b[i])),
+            CellKind::Nor2 => from_fn(|i| !(a[i] | b[i])),
+            CellKind::And2 => from_fn(|i| a[i] & b[i]),
+            CellKind::Or2 => from_fn(|i| a[i] | b[i]),
+            CellKind::Xor2 => from_fn(|i| a[i] ^ b[i]),
+            CellKind::Xnor2 => from_fn(|i| !(a[i] ^ b[i])),
+            CellKind::And3 => from_fn(|i| a[i] & b[i] & c[i]),
+            CellKind::Or3 => from_fn(|i| a[i] | b[i] | c[i]),
+            CellKind::Mux2 => from_fn(|i| (a[i] & !c[i]) | (b[i] & c[i])),
+            CellKind::Maj3 => from_fn(|i| (a[i] & (b[i] | c[i])) | (b[i] & c[i])),
+            CellKind::Dff | CellKind::DffE => {
+                panic!("eval_packed_wide called on sequential cell {self:?}")
             }
-            CellKind::Maj3 => from_fn(|i| {
-                (inputs[0][i] & (inputs[1][i] | inputs[2][i])) | (inputs[1][i] & inputs[2][i])
-            }),
-            CellKind::Dff | CellKind::DffE => unreachable!(),
         }
     }
 
@@ -206,25 +211,25 @@ impl CellKind {
     }
 
     /// Width-generic word-parallel next-state function (see
-    /// [`CellKind::eval_packed_wide`] for the slab model): word `i`, bit `l`
-    /// of the result is the next state of lane `64*i + l`.
+    /// [`CellKind::eval_packed_wide`] for the slab model and the arity-free
+    /// pin convention): `d` and `en` are the data and enable pins (`en` is
+    /// ignored by [`CellKind::Dff`]), `q` the current state. Word `i`, bit
+    /// `l` of the result is the next state of lane `64*i + l`.
     ///
     /// # Panics
     ///
-    /// Panics if called on a combinational cell or with the wrong number of
-    /// inputs.
+    /// Panics if called on a combinational cell.
     #[must_use]
     #[inline]
     pub fn next_state_packed_wide<const W: usize>(
         &self,
-        inputs: &[[u64; W]],
+        d: &[u64; W],
+        en: &[u64; W],
         q: &[u64; W],
     ) -> [u64; W] {
-        assert_eq!(inputs.len(), self.arity(), "arity mismatch for {self:?}");
-        use core::array::from_fn;
         match self {
-            CellKind::Dff => inputs[0],
-            CellKind::DffE => from_fn(|i| (inputs[0][i] & inputs[1][i]) | (q[i] & !inputs[1][i])),
+            CellKind::Dff => *d,
+            CellKind::DffE => core::array::from_fn(|i| (d[i] & en[i]) | (q[i] & !en[i])),
             _ => panic!("next_state_packed_wide called on combinational cell {self:?}"),
         }
     }
@@ -400,7 +405,8 @@ mod tests {
                     })
                 })
                 .collect();
-            let wide = k.eval_packed_wide::<W>(&slabs);
+            let pin = |j: usize| slabs.get(j).unwrap_or(&slabs[0]);
+            let wide = k.eval_packed_wide::<W>(pin(0), pin(1), pin(2));
             for w in 0..W {
                 let words: Vec<u64> = slabs.iter().map(|s| s[w]).collect();
                 assert_eq!(wide[w], k.eval_packed(&words), "{k:?} word {w} diverged at W={W}");
@@ -423,8 +429,8 @@ mod tests {
             core::array::from_fn(|w| 0xF0F0_0F0F_3C3C_C3C3u64.rotate_right(w as u32));
         let q: [u64; 4] =
             core::array::from_fn(|w| 0xFFFF_0000_FF00_00FFu64.rotate_left(2 * w as u32));
-        let dff = CellKind::Dff.next_state_packed_wide::<4>(&[d], &q);
-        let dffe = CellKind::DffE.next_state_packed_wide::<4>(&[d, en], &q);
+        let dff = CellKind::Dff.next_state_packed_wide::<4>(&d, &d, &q);
+        let dffe = CellKind::DffE.next_state_packed_wide::<4>(&d, &en, &q);
         for w in 0..4 {
             assert_eq!(dff[w], CellKind::Dff.next_state_packed(&[d[w]], q[w]));
             assert_eq!(dffe[w], CellKind::DffE.next_state_packed(&[d[w], en[w]], q[w]));
@@ -434,13 +440,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "combinational")]
     fn wide_next_state_on_gate_panics() {
-        let _ = CellKind::And2.next_state_packed_wide::<2>(&[[0; 2], [0; 2]], &[0; 2]);
+        let _ = CellKind::And2.next_state_packed_wide::<2>(&[0; 2], &[0; 2], &[0; 2]);
     }
 
     #[test]
     #[should_panic(expected = "sequential")]
     fn wide_eval_on_dff_panics() {
-        let _ = CellKind::Dff.eval_packed_wide::<2>(&[[0; 2]]);
+        let _ = CellKind::Dff.eval_packed_wide::<2>(&[0; 2], &[0; 2], &[0; 2]);
     }
 
     #[test]

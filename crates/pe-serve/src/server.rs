@@ -156,27 +156,34 @@ impl Conn {
                 }
             }
         }
+        let has_room = !draining && self.parked.is_none() && self.inflight.len() < PIPELINE_MAX;
         if !self.read_closed {
             match read_readiness(&self.stream) {
                 Readiness::Readable => {
                     *ready_now += 1;
-                    let can_read =
-                        !draining && self.parked.is_none() && self.inflight.len() < PIPELINE_MAX;
-                    if can_read {
+                    if has_room {
                         progressed |= self.fill_rbuf();
-                        progressed |= self.parse_lines(service, fe, shutdown_req);
                     }
                 }
                 Readiness::Closed => {
-                    // Abrupt disconnect: a partial line dies with the peer.
+                    // EOF or a broken read side: a trailing partial line
+                    // dies with the peer, but complete lines already
+                    // buffered (and a parked request) are still answered —
+                    // a half-closed client keeps reading its replies.
                     self.read_closed = true;
-                    self.rbuf.clear();
-                    self.discarding = false;
-                    self.parked = None;
+                    let complete = self.rbuf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    self.rbuf.truncate(complete);
                     progressed = true;
                 }
                 Readiness::NotReady => {}
             }
+        }
+        // Parse whenever lines are buffered and there is room, whatever the
+        // socket's readiness: lines left behind by the pipeline cap, a park
+        // or an EOF read in the same burst may never see another readable
+        // edge.
+        if !draining && !self.rbuf.is_empty() {
+            progressed |= self.parse_lines(service, fe, shutdown_req);
         }
         progressed |= self.pump_replies();
         progressed |= self.flush();

@@ -44,10 +44,11 @@ struct Harness {
 }
 
 fn start() -> Harness {
-    let service = Service::start(
-        registry(),
-        ServiceConfig { mode: ServeMode::Int, ..ServiceConfig::default() },
-    );
+    start_with(ServiceConfig { mode: ServeMode::Int, ..ServiceConfig::default() })
+}
+
+fn start_with(config: ServiceConfig) -> Harness {
+    let service = Service::start(registry(), config);
     let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
     let addr = server.local_addr();
     Harness { addr, service, thread: Some(std::thread::spawn(move || server.run())) }
@@ -296,5 +297,38 @@ fn a_half_open_connection_with_a_buffered_request_still_gets_served_state_draine
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "unexpected trailing bytes {rest:?}");
+    wait_conn_open(h.addr, 1);
+}
+
+#[test]
+fn buffered_lines_are_answered_after_a_half_close() {
+    // A four-slot service queue parks the connection every few requests,
+    // so the front end reads all 300 lines (and the EOF behind them) long
+    // before it has parsed them. The client half-closes and only reads: no
+    // byte will ever arrive again, so the buffered lines must be parsed as
+    // each park clears (or pipeline capacity frees up) rather than on the
+    // socket's next readable edge.
+    let h = start_with(ServiceConfig {
+        mode: ServeMode::Int,
+        queue_capacity: 4,
+        ..ServiceConfig::default()
+    });
+    let (line, want) = classify_line();
+    const REQUESTS: usize = 300;
+    let conn = TcpStream::connect(h.addr).unwrap();
+    // A hang guard, not an assertion: a stranded line would otherwise
+    // block `read_reply` forever.
+    conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut writer = conn.try_clone().unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    writer.write_all(format!("{line}\n").repeat(REQUESTS).as_bytes()).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    for i in 0..REQUESTS {
+        assert_eq!(read_reply(&mut reader), want, "reply {i} of {REQUESTS}");
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "unexpected trailing bytes {rest:?}");
+    // Only the observer's own connection may remain.
     wait_conn_open(h.addr, 1);
 }

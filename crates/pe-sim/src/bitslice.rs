@@ -12,6 +12,16 @@
 //! line). `W = 1` compiles to exactly the original one-word engine; the
 //! runtime knob picking among the monomorphized widths is [`LaneWidth`].
 //!
+//! # Sweep program
+//!
+//! Construction compiles the levelized schedule into a flat program of
+//! 20-byte ops (cell kind, output net, three input nets, a *pinned* bit),
+//! combinational cells in topological order and then the registers. Every
+//! sweep — dense settles, event-driven worklist drains, cone passes over a
+//! chunk's filtered sub-program, and register updates — runs one per-op
+//! step over it, so no sweep chases cell ids into the netlist, and only
+//! ops whose output has pinned lanes read the forced-value slabs.
+//!
 //! # Lane layout
 //!
 //! Bit `l` of word `i` of every slab belongs to **lane** `64*i + l`, which
@@ -64,7 +74,7 @@
 use crate::activity::{ActivityReport, ToggleCounters};
 use crate::sim::BatchResult;
 use pe_netlist::graph::FanoutCones;
-use pe_netlist::{CellId, Netlist, NetlistError, PortDir};
+use pe_netlist::{CellId, CellKind, Netlist, NetlistError, PortDir};
 use pe_obs::{SimBatch, SimProfile};
 use std::collections::HashMap;
 
@@ -239,10 +249,18 @@ fn broadcast_wide<const W: usize>(b: bool) -> [u64; W] {
 #[derive(Debug)]
 pub struct BitSlicedSimulator<'nl, const W: usize = 1> {
     nl: &'nl Netlist,
-    /// Topological order of combinational cells.
+    /// Topological order of combinational cells (the schedule `prog` is
+    /// compiled from; cone schedules filter it by cell).
     order: Vec<CellId>,
     /// All sequential cells.
     regs: Vec<CellId>,
+    /// The compiled sweep program: one [`Op`] per combinational cell in
+    /// `order` order, followed by one per register in `regs` order.
+    prog: Vec<Op>,
+    /// Position in `prog` of the op driving each net, or `u32::MAX` for
+    /// primary inputs and constants. Positions past `order.len()` are
+    /// registers (`regs` index = position − `order.len()`).
+    op_of_net: Vec<u32>,
     /// Packed value slab of every net, one lane per bit (structure of
     /// arrays: the `W` words of one net are contiguous).
     words: Vec<[u64; W]>,
@@ -264,10 +282,6 @@ pub struct BitSlicedSimulator<'nl, const W: usize = 1> {
     forced_mask: Vec<[u64; W]>,
     /// Per-net pinned values in the lanes selected by `forced_mask`.
     forced_vals: Vec<[u64; W]>,
-    /// Register index (into `regs`/`state`) driving each net, or
-    /// `usize::MAX` for nets not driven by a sequential cell. Lets
-    /// force/release target register state without scanning every register.
-    reg_of_net: Vec<usize>,
     /// Combinational cell evaluations performed so far (each cell of each
     /// settle pass counts one, at every width — the work metric the
     /// cone-scheduled and event-driven modes exist to shrink).
@@ -296,6 +310,8 @@ pub struct DetachedSlab<const W: usize = 1> {
     num_cells: usize,
     order: Vec<CellId>,
     regs: Vec<CellId>,
+    prog: Vec<Op>,
+    op_of_net: Vec<u32>,
     words: Vec<[u64; W]>,
     state: Vec<[u64; W]>,
     next_scratch: Vec<[u64; W]>,
@@ -305,7 +321,6 @@ pub struct DetachedSlab<const W: usize = 1> {
     cycles: u64,
     forced_mask: Vec<[u64; W]>,
     forced_vals: Vec<[u64; W]>,
-    reg_of_net: Vec<usize>,
     cell_evals: u64,
     events: Option<Events>,
 }
@@ -351,6 +366,67 @@ impl<const W: usize> DetachedSlab<W> {
     }
 }
 
+/// One compiled cell of the sweep program: everything a sweep reads per
+/// cell in 20 contiguous bytes, instead of chasing `CellId` → `Cell` → the
+/// cell's heap-allocated input list on every evaluation.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    kind: CellKind,
+    /// Whether any lane of `out` is pinned (`forced_mask[out]` non-zero):
+    /// only pinned ops read `forced_mask`/`forced_vals` for the
+    /// forced-value merge. In the simulator's program this is kept in step
+    /// by [`BitSlicedSimulator::force_lanes`] and
+    /// [`BitSlicedSimulator::release_net`]; a [`ConeSchedule`]'s copies fix
+    /// it for the chunk they were compiled in.
+    pinned: bool,
+    /// Output net index.
+    out: u32,
+    /// Input net indices; pins past the cell's arity repeat the first
+    /// input (the arity-free kernels ignore them).
+    ins: [u32; 3],
+}
+
+/// Compiles a levelized schedule into the flat sweep program (combinational
+/// cells in `order` order, then the registers in `regs` order) and the
+/// net → driving-op map.
+fn compile(nl: &Netlist, order: &[CellId], regs: &[CellId]) -> (Vec<Op>, Vec<u32>) {
+    let mut op_of_net = vec![u32::MAX; nl.num_nets()];
+    let prog = order
+        .iter()
+        .chain(regs)
+        .enumerate()
+        .map(|(p, &c)| {
+            let cell = nl.cell(c);
+            let pins = cell.inputs();
+            let out = cell.output().index();
+            op_of_net[out] = p as u32;
+            Op {
+                kind: cell.kind(),
+                pinned: false,
+                out: out as u32,
+                ins: core::array::from_fn(|k| pins.get(k).unwrap_or(&pins[0]).index() as u32),
+            }
+        })
+        .collect();
+    (prog, op_of_net)
+}
+
+/// How a sweep step accounts the toggles of the slab it writes.
+#[derive(Debug, Clone, Copy)]
+enum Tally {
+    /// No accounting (activity disabled).
+    Off,
+    /// Per-lane difference against the stored slab (ticks, lane-parallel
+    /// settles).
+    Slab,
+    /// Serial adjacent-lane differences for combinational batches: lane
+    /// `l` is compared against lane `l-1` (lane 0 of word `i` against bit
+    /// 63 of word `i-1`, lane 0 of word 0 against the carried broadcast
+    /// bit), reproducing exactly the adjacent-vector toggle sequence of a
+    /// serial loop across the whole slab.
+    Serial,
+}
+
 /// Worklist bookkeeping of the event-driven sweep mode: instead of
 /// re-evaluating every combinational cell per settle pass, only cells at
 /// least one of whose input slabs changed since their last evaluation are
@@ -361,12 +437,9 @@ impl<const W: usize> DetachedSlab<W> {
 /// invariant on [`BitSlicedSimulator::set_event_driven`].
 #[derive(Debug)]
 struct Events {
-    /// `net.index()` → positions (into `order`) of the net's combinational
-    /// sink cells.
+    /// `net.index()` → positions (into the program) of the net's
+    /// combinational sink ops.
     sinks_of_net: Vec<Vec<u32>>,
-    /// `cell.index()` → its position in `order` (`u32::MAX` for sequential
-    /// cells, which are never on the worklist).
-    pos_of_cell: Vec<u32>,
     /// Dirty-position bitmap: bit `p % 64` of word `p / 64` is set iff
     /// position `p` is queued. Setting is idempotent, so marking needs no
     /// dedup branch, and popping in ascending position is a trailing-zeros
@@ -383,15 +456,12 @@ struct Events {
 }
 
 impl Events {
-    fn new(nl: &Netlist, order: &[CellId]) -> Self {
-        let mut pos_of_cell = vec![u32::MAX; nl.num_cells()];
-        for (p, &c) in order.iter().enumerate() {
-            pos_of_cell[c.index()] = p as u32;
-        }
-        let mut sinks_of_net: Vec<Vec<u32>> = vec![Vec::new(); nl.num_nets()];
-        for (p, &c) in order.iter().enumerate() {
-            for &inp in nl.cell(c).inputs() {
-                let s = &mut sinks_of_net[inp.index()];
+    /// Worklist over the combinational ops `comb` (the program's prefix).
+    fn new(num_nets: usize, comb: &[Op]) -> Self {
+        let mut sinks_of_net: Vec<Vec<u32>> = vec![Vec::new(); num_nets];
+        for (p, op) in comb.iter().enumerate() {
+            for &inp in &op.ins {
+                let s = &mut sinks_of_net[inp as usize];
                 if s.last() != Some(&(p as u32)) {
                     s.push(p as u32);
                 }
@@ -399,7 +469,7 @@ impl Events {
         }
         // Start all-dirty: the first settle is a full sweep, which makes
         // enabling the mode safe in any simulator state.
-        let n = order.len();
+        let n = comb.len();
         let mut words = vec![!0u64; n.div_ceil(64)];
         if let Some(last) = words.last_mut() {
             let tail = n % 64;
@@ -413,7 +483,7 @@ impl Events {
                 summary[w / 64] |= 1u64 << (w % 64);
             }
         }
-        Events { sinks_of_net, pos_of_cell, words, summary, cursor: 0 }
+        Events { sinks_of_net, words, summary, cursor: 0 }
     }
 
     /// Queues one position (idempotent).
@@ -461,24 +531,26 @@ impl Events {
     }
 }
 
-/// The per-chunk cone schedule of a cone-scheduled PPSFP sweep: the subset
-/// of the topological order downstream of the chunk's pinned fault sites,
-/// plus the *frontier* — the nets feeding that subset from outside it, whose
+/// The per-chunk cone schedule of a cone-scheduled PPSFP sweep: the
+/// sub-program of ops downstream of the chunk's pinned fault sites, plus the
+/// *frontier* — the nets feeding that sub-program from outside it, whose
 /// fault-free values are loaded from a precomputed golden trajectory instead
 /// of being recomputed. Built by [`BitSlicedSimulator::cone_schedule`],
 /// consumed by [`BitSlicedSimulator::lanes_diverging_cone`].
 #[derive(Debug)]
 pub(crate) struct ConeSchedule {
-    /// Positions (into `order`) of the cone's combinational cells, ascending
-    /// — a valid topological order of the cone.
-    comb: Vec<u32>,
+    /// The cone's combinational ops, copied from the program in topological
+    /// order with their pinned bits fixed at compile time (forcing is
+    /// constant within a chunk).
+    comb: Vec<Op>,
     /// Indices (into `regs`) of the cone's sequential cells.
     regs: Vec<u32>,
     /// Nets read by cone cells but not driven by one, plus root (fault
     /// site) nets not driven by a cone cell: everything the cone consumes
-    /// from the fault-free world. Loaded broadcast from the golden
-    /// trajectory (forced lanes keep their pinned values).
-    frontier: Vec<pe_netlist::NetId>,
+    /// from the fault-free world, with whether the net is pinned. Loaded
+    /// broadcast from the golden trajectory (pinned lanes keep their forced
+    /// values).
+    frontier: Vec<(u32, bool)>,
     /// Net-indexed: true iff the net's slab is meaningful after a cone pass
     /// (cone-driven or frontier-loaded). Output bits outside this set are
     /// provably fault-free and are skipped by the divergence diff.
@@ -512,7 +584,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             sim.state[i] = broadcast_wide(nl.cell(r).init());
             sim.words[nl.cell(r).output().index()] = sim.state[i];
         }
-        sim.eval_lanes(&[!0; W]);
+        sim.settle(&[!0; W], false);
         Ok(sim)
     }
 
@@ -540,6 +612,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             if f {
                 sim.forced_mask[i] = [!0; W];
                 sim.forced_vals[i] = sim.words[i];
+                sim.sync_pinned(i);
             }
         }
         if track_activity {
@@ -565,14 +638,13 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         words[nl.const1().index()] = [!0; W];
         let state = vec![[0u64; W]; regs.len()];
         let next_scratch = vec![[0u64; W]; regs.len()];
-        let mut reg_of_net = vec![usize::MAX; nl.num_nets()];
-        for (i, &r) in regs.iter().enumerate() {
-            reg_of_net[nl.cell(r).output().index()] = i;
-        }
+        let (prog, op_of_net) = compile(nl, &order, &regs);
         BitSlicedSimulator {
             nl,
             order,
             regs,
+            prog,
+            op_of_net,
             words,
             state,
             next_scratch,
@@ -582,7 +654,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             cycles: 0,
             forced_mask: vec![[0; W]; nl.num_nets()],
             forced_vals: vec![[0; W]; nl.num_nets()],
-            reg_of_net,
             cell_evals: 0,
             events: None,
         }
@@ -620,7 +691,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// vectors leave most of the core clean.
     pub fn set_event_driven(&mut self, on: bool) {
         if on {
-            self.events = Some(Events::new(self.nl, &self.order));
+            let comb = &self.prog[..self.order.len()];
+            self.events = Some(Events::new(self.nl.num_nets(), comb));
         } else {
             self.events = None;
         }
@@ -701,25 +773,12 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             self.forced_vals[i][w] = (self.forced_vals[i][w] & !mask[w]) | (values[w] & mask[w]);
             self.words[i][w] = (self.words[i][w] & !mask[w]) | (values[w] & mask[w]);
         }
-        let r = self.reg_of_net[i];
-        if r != usize::MAX {
+        if let Some(r) = self.reg_of_net(i) {
             for w in 0..W {
                 self.state[r][w] = (self.state[r][w] & !mask[w]) | (values[w] & mask[w]);
             }
         }
-        if let Some(ev) = &mut self.events {
-            // The pin overrides the net's own evaluation too, so the driver
-            // must re-merge on its next visit, not only the sinks.
-            if let pe_netlist::Driver::Cell(c) = self.nl.net(net).driver() {
-                let p = ev.pos_of_cell[c.index()];
-                if p != u32::MAX {
-                    ev.mark(p);
-                }
-            }
-            if self.words[i] != old {
-                ev.mark_sinks(i);
-            }
-        }
+        self.repinned(i, old);
     }
 
     /// Releases a pinned net in every lane (its next evaluation recomputes
@@ -736,20 +795,37 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         let old = self.words[i];
         self.forced_mask[i] = [0; W];
         self.forced_vals[i] = [0; W];
-        let r = self.reg_of_net[i];
-        if r != usize::MAX {
+        if let Some(r) = self.reg_of_net(i) {
             let init = broadcast_wide(self.nl.cell(self.regs[r]).init());
             self.state[r] = init;
             self.words[i] = init;
         }
+        self.repinned(i, old);
+    }
+
+    /// The register index (into `regs`/`state`) driving net `i`, if any.
+    fn reg_of_net(&self, i: usize) -> Option<usize> {
+        (self.op_of_net[i] as usize).checked_sub(self.order.len()).filter(|&r| r < self.regs.len())
+    }
+
+    /// Re-derives the pinned bit of the op driving net `i` from
+    /// `forced_mask`, the single source of truth for which lanes are pinned.
+    fn sync_pinned(&mut self, i: usize) {
+        if let Some(op) = self.prog.get_mut(self.op_of_net[i] as usize) {
+            op.pinned = self.forced_mask[i] != [0; W];
+        }
+    }
+
+    /// Bookkeeping after net `i`'s pinned lanes changed (its slab was `old`
+    /// before): syncs the driving op's pinned bit and, in event mode,
+    /// requeues the driver — a pin overrides the net's own evaluation and a
+    /// release hands it back — plus the sinks if the slab moved.
+    fn repinned(&mut self, i: usize, old: [u64; W]) {
+        self.sync_pinned(i);
         if let Some(ev) = &mut self.events {
-            // A released combinational net must be recomputed by its driver;
-            // a released register output may have jumped back to init.
-            if let pe_netlist::Driver::Cell(c) = self.nl.net(net).driver() {
-                let p = ev.pos_of_cell[c.index()];
-                if p != u32::MAX {
-                    ev.mark(p);
-                }
+            let p = self.op_of_net[i];
+            if (p as usize) < self.order.len() {
+                ev.mark(p);
             }
             if self.words[i] != old {
                 ev.mark_sinks(i);
@@ -804,6 +880,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             num_cells: self.nl.num_cells(),
             order: self.order,
             regs: self.regs,
+            prog: self.prog,
+            op_of_net: self.op_of_net,
             words: self.words,
             state: self.state,
             next_scratch: self.next_scratch,
@@ -813,7 +891,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             cycles: self.cycles,
             forced_mask: self.forced_mask,
             forced_vals: self.forced_vals,
-            reg_of_net: self.reg_of_net,
             cell_evals: self.cell_evals,
             events: self.events,
         }
@@ -846,6 +923,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             nl,
             order: slab.order,
             regs: slab.regs,
+            prog: slab.prog,
+            op_of_net: slab.op_of_net,
             words: slab.words,
             state: slab.state,
             next_scratch: slab.next_scratch,
@@ -855,7 +934,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             cycles: slab.cycles,
             forced_mask: slab.forced_mask,
             forced_vals: slab.forced_vals,
-            reg_of_net: slab.reg_of_net,
             cell_evals: slab.cell_evals,
             events: slab.events,
         }
@@ -863,68 +941,44 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
 
     // ---- packed kernel ---------------------------------------------------
 
-    /// One lane-parallel settle pass: every combinational cell evaluated as
-    /// `W` bitwise ops, toggles accounted per lane against the stored slab
-    /// (masked, so ragged lanes never leak into activity).
-    fn eval_lanes(&mut self, mask: &[u64; W]) {
-        if self.events.is_some() {
-            return self.eval_worklist(mask, false);
+    /// The one per-op step every sweep runs: evaluate a combinational op
+    /// over the current slabs with the packed kernel and commit the result.
+    /// Returns whether the output slab changed.
+    #[inline(always)]
+    fn step(&mut self, op: &Op, mask: &[u64; W], tally: Tally) -> bool {
+        let w = &self.words;
+        let new = op.kind.eval_packed_wide::<W>(
+            &w[op.ins[0] as usize],
+            &w[op.ins[1] as usize],
+            &w[op.ins[2] as usize],
+        );
+        self.commit(op, new, mask, tally)
+    }
+
+    /// Writes an op's freshly computed slab: pinned lanes re-merged (pinned
+    /// ops only), toggles tallied per `tally` against the stored slab
+    /// (masked, so ragged lanes never leak into activity). Returns whether
+    /// the slab changed.
+    #[inline(always)]
+    fn commit(&mut self, op: &Op, mut new: [u64; W], mask: &[u64; W], tally: Tally) -> bool {
+        let out = op.out as usize;
+        if op.pinned {
+            let (fm, fv) = (&self.forced_mask[out], &self.forced_vals[out]);
+            for w in 0..W {
+                new[w] = (new[w] & !fm[w]) | (fv[w] & fm[w]);
+            }
         }
-        let track = self.toggles.is_enabled();
-        let mut ins = [[0u64; W]; 3];
-        for idx in 0..self.order.len() {
-            let cell = self.nl.cell(self.order[idx]);
-            let out = cell.output().index();
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            let mut new = cell.kind().eval_packed_wide::<W>(&ins[..cell.inputs().len()]);
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    new[w] = (new[w] & !fm[w]) | (fv[w] & fm[w]);
-                }
-            }
-            let old = self.words[out];
-            if new != old {
-                if track {
+        let old = std::mem::replace(&mut self.words[out], new);
+        match tally {
+            Tally::Off => {}
+            Tally::Slab => {
+                if new != old {
                     let diff: [u64; W] = core::array::from_fn(|w| (new[w] ^ old[w]) & mask[w]);
                     self.toggles.bump_packed_wide(out, &diff);
                 }
-                self.words[out] = new;
             }
-        }
-        self.cell_evals += self.order.len() as u64;
-    }
-
-    /// A settle pass with *serial* toggle accounting for combinational
-    /// batches: lane `l` is compared against lane `l-1` (lane 0 of word `i`
-    /// against bit 63 of word `i-1`, lane 0 of word 0 against the carried
-    /// broadcast bit), reproducing exactly the adjacent-vector toggle
-    /// sequence of a serial loop across the whole slab.
-    fn settle_serial(&mut self, mask: &[u64; W]) {
-        if self.events.is_some() {
-            return self.eval_worklist(mask, true);
-        }
-        let track = self.toggles.is_enabled();
-        let mut ins = [[0u64; W]; 3];
-        for idx in 0..self.order.len() {
-            let cell = self.nl.cell(self.order[idx]);
-            let out = cell.output().index();
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            let mut new = cell.kind().eval_packed_wide::<W>(&ins[..cell.inputs().len()]);
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    new[w] = (new[w] & !fm[w]) | (fv[w] & fm[w]);
-                }
-            }
-            if track {
-                let mut carry = self.words[out][0] & 1;
+            Tally::Serial => {
+                let mut carry = old[0] & 1;
                 let mut diff = [0u64; W];
                 for w in 0..W {
                     diff[w] = (new[w] ^ ((new[w] << 1) | carry)) & mask[w];
@@ -932,121 +986,96 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 }
                 self.toggles.bump_packed_wide(out, &diff);
             }
-            self.words[out] = new;
         }
-        self.cell_evals += self.order.len() as u64;
+        new != old
     }
 
-    /// The event-driven settle shared by [`BitSlicedSimulator::eval_lanes`]
-    /// and [`BitSlicedSimulator::settle_serial`]: drains the dirty worklist
-    /// in ascending topological position, re-queueing the sinks of every
-    /// changed output. `serial` selects the serial (adjacent-lane) toggle
-    /// formula of `settle_serial` over the slab-difference formula of
-    /// `eval_lanes`.
+    /// The toggle accounting of a settle pass (see [`Tally`]).
+    fn tally(&self, serial: bool) -> Tally {
+        match (self.toggles.is_enabled(), serial) {
+            (false, _) => Tally::Off,
+            (true, false) => Tally::Slab,
+            (true, true) => Tally::Serial,
+        }
+    }
+
+    /// One lane-parallel settle pass. A dense pass steps every
+    /// combinational op in program order; event mode drains the dirty
+    /// worklist in ascending program position instead, re-queueing the
+    /// sinks of every changed output. `serial` selects serial toggle
+    /// accounting ([`Tally::Serial`], for combinational batches) over the
+    /// per-lane slab difference.
     ///
-    /// Skipping a clean cell is exact under both formulas: clean means its
-    /// recomputation would reproduce the stored slab, so the slab-difference
-    /// contribution is zero; and between chunks every slab is a broadcast,
-    /// so the serial formula over an unchanged broadcast is zero as well.
-    fn eval_worklist(&mut self, mask: &[u64; W], serial: bool) {
-        let track = self.toggles.is_enabled();
-        let mut ins = [[0u64; W]; 3];
-        let mut ev = self.events.take().expect("eval_worklist requires event mode");
-        while let Some(p) = ev.pop_min() {
-            let idx = p as usize;
-            let cell = self.nl.cell(self.order[idx]);
-            let out = cell.output().index();
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            let mut new = cell.kind().eval_packed_wide::<W>(&ins[..cell.inputs().len()]);
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    new[w] = (new[w] & !fm[w]) | (fv[w] & fm[w]);
+    /// Skipping a clean op is exact under both toggle formulas: clean means
+    /// its recomputation would reproduce the stored slab, so the
+    /// slab-difference contribution is zero; and between chunks every slab
+    /// is a broadcast, so the serial formula over an unchanged broadcast is
+    /// zero as well.
+    fn settle(&mut self, mask: &[u64; W], serial: bool) {
+        let tally = self.tally(serial);
+        if let Some(mut ev) = self.events.take() {
+            while let Some(p) = ev.pop_min() {
+                let op = self.prog[p as usize];
+                self.cell_evals += 1;
+                if self.step(&op, mask, tally) {
+                    ev.mark_sinks(op.out as usize);
                 }
             }
-            self.cell_evals += 1;
-            let old = self.words[out];
-            if serial {
-                if track {
-                    let mut carry = old[0] & 1;
-                    let mut diff = [0u64; W];
-                    for w in 0..W {
-                        diff[w] = (new[w] ^ ((new[w] << 1) | carry)) & mask[w];
-                        carry = new[w] >> 63;
-                    }
-                    self.toggles.bump_packed_wide(out, &diff);
-                }
-                self.words[out] = new;
-                if new != old {
-                    ev.mark_sinks(out);
-                }
-            } else if new != old {
-                if track {
-                    let diff: [u64; W] = core::array::from_fn(|w| (new[w] ^ old[w]) & mask[w]);
-                    self.toggles.bump_packed_wide(out, &diff);
-                }
-                self.words[out] = new;
-                ev.mark_sinks(out);
-            }
+            self.events = Some(ev);
+            return;
         }
-        self.events = Some(ev);
+        let n = self.order.len();
+        for p in 0..n {
+            let op = self.prog[p];
+            self.step(&op, mask, tally);
+        }
+        self.cell_evals += n as u64;
     }
 
-    /// One clock cycle for all active lanes: settle, capture packed
-    /// next-states, update registers, settle again — the lane-parallel
-    /// mirror of [`Simulator::tick`](crate::Simulator::tick). The next-state
-    /// capture reuses a persistent scratch buffer: this runs once per clock
-    /// tick of every sequential batch and campaign.
-    fn tick_lanes(&mut self, mask: &[u64; W]) {
-        self.eval_lanes(mask);
-        let track = self.toggles.is_enabled();
-        let nl = self.nl;
-        let mut ins = [[0u64; W]; 3];
-        for i in 0..self.regs.len() {
-            let cell = nl.cell(self.regs[i]);
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            self.next_scratch[i] = cell
-                .kind()
-                .next_state_packed_wide::<W>(&ins[..cell.inputs().len()], &self.state[i]);
+    /// The register phase of a clock edge for the registers `regs` (indices
+    /// into `regs`/`state`): capture every packed next-state from the
+    /// settled slabs first, then commit them — two phases, because a
+    /// register may feed another directly.
+    fn clock_regs(&mut self, regs: impl Iterator<Item = usize> + Clone, mask: &[u64; W]) {
+        let tally = self.tally(false);
+        let base = self.order.len();
+        for i in regs.clone() {
+            let op = &self.prog[base + i];
+            let w = &self.words;
+            self.next_scratch[i] = op.kind.next_state_packed_wide::<W>(
+                &w[op.ins[0] as usize],
+                &w[op.ins[1] as usize],
+                &self.state[i],
+            );
         }
-        for i in 0..self.regs.len() {
-            let out = nl.cell(self.regs[i]).output().index();
-            let old = self.words[out];
-            let mut next = self.next_scratch[i];
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    next[w] = (next[w] & !fm[w]) | (fv[w] & fm[w]);
-                }
-            }
-            if old != next {
-                if track {
-                    let diff: [u64; W] = core::array::from_fn(|w| (old[w] ^ next[w]) & mask[w]);
-                    self.toggles.bump_packed_wide(out, &diff);
-                }
-                self.words[out] = next;
+        for i in regs {
+            let op = self.prog[base + i];
+            if self.commit(&op, self.next_scratch[i], mask, tally) {
                 if let Some(ev) = &mut self.events {
-                    ev.mark_sinks(out);
+                    ev.mark_sinks(op.out as usize);
                 }
             }
-            self.state[i] = next;
+            self.state[i] = self.words[op.out as usize];
         }
-        self.eval_lanes(mask);
     }
 
-    /// Resets every register to its power-on init value in all lanes except
-    /// the ones pinned by [`BitSlicedSimulator::force_lanes`], which keep
-    /// their forced values — the lane-aware per-classification reset shared
-    /// by [`BitSlicedSimulator::run_workload_seq_reset`] and the PPSFP
-    /// campaign driver.
-    fn reset_regs_lanes(&mut self) {
-        for i in 0..self.regs.len() {
+    /// One clock cycle for all active lanes: settle, clock every register,
+    /// settle again — the lane-parallel mirror of
+    /// [`Simulator::tick`](crate::Simulator::tick).
+    fn tick_lanes(&mut self, mask: &[u64; W]) {
+        self.settle(mask, false);
+        self.clock_regs(0..self.regs.len(), mask);
+        self.settle(mask, false);
+    }
+
+    /// Resets the registers `regs` (indices into `regs`/`state`) to their
+    /// power-on init value in all lanes except the ones pinned by
+    /// [`BitSlicedSimulator::force_lanes`], which keep their forced values —
+    /// the lane-aware per-classification reset shared by
+    /// [`BitSlicedSimulator::run_workload_seq_reset`] and the PPSFP
+    /// campaign drivers.
+    fn reset_regs(&mut self, regs: impl Iterator<Item = usize>) {
+        for i in regs {
             let cell = self.nl.cell(self.regs[i]);
             let out = cell.output().index();
             let init = broadcast(cell.init());
@@ -1087,17 +1116,13 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         // collapsed lane. Those nets (never present on the serving path,
         // which only pins whole nets) get their driver and sinks re-queued.
         if let Some(ev) = &mut self.events {
-            for (id, net) in self.nl.nets() {
-                let i = id.index();
-                let fm = &self.forced_mask[i];
+            for (i, fm) in self.forced_mask.iter().enumerate() {
                 if *fm == [0; W] || *fm == [!0; W] {
                     continue;
                 }
-                if let pe_netlist::Driver::Cell(c) = net.driver() {
-                    let p = ev.pos_of_cell[c.index()];
-                    if p != u32::MAX {
-                        ev.mark(p);
-                    }
+                let p = self.op_of_net[i];
+                if (p as usize) < self.order.len() {
+                    ev.mark(p);
                 }
                 ev.mark_sinks(i);
             }
@@ -1304,7 +1329,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             }
             let t1 = timing.then(std::time::Instant::now);
             if cycles_per_vector == 0 {
-                self.settle_serial(&mask);
+                self.settle(&mask, true);
                 self.cycles += active as u64;
             } else {
                 for _ in 0..cycles_per_vector {
@@ -1356,7 +1381,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             let active = chunk.len();
             let mask = lane_mask_wide::<W>(active);
             self.drive_port_lanes(chunk);
-            self.settle_serial(&mask);
+            self.settle(&mask, true);
             self.cycles += active as u64;
             for l in 0..active {
                 out.push(self.output_unsigned_lane(out_port, l));
@@ -1395,7 +1420,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         for chunk in workload.chunks(LANES * W) {
             let active = chunk.len();
             let mask = lane_mask_wide::<W>(active);
-            self.reset_regs_lanes();
+            self.reset_regs(0..self.regs.len());
             self.drive_port_lanes(chunk);
             for _ in 0..cycles_per_vector {
                 self.tick_lanes(&mask);
@@ -1552,11 +1577,11 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             match cycles {
                 None => {
                     self.drive_entry_broadcast(&ports, first, entry);
-                    self.eval_lanes(&[!0; W]);
+                    self.settle(&[!0; W], false);
                     self.cycles += watched;
                 }
                 Some(c) => {
-                    self.reset_regs_lanes();
+                    self.reset_regs(0..self.regs.len());
                     self.drive_entry_broadcast(&ports, first, entry);
                     for _ in 0..c {
                         self.tick_lanes(&[!0; W]);
@@ -1577,7 +1602,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             // faulty machines' leftovers: non-forced registers would
             // otherwise stay lane-divergent after the campaign chunk, and
             // release_net only heals the *forced* nets.
-            self.reset_regs_lanes();
+            self.reset_regs(0..self.regs.len());
         }
         diverged
     }
@@ -1586,9 +1611,10 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
 
     /// Builds the cone schedule of one PPSFP chunk: the cells downstream of
     /// the chunk's pinned `roots` (per [`FanoutCones::cone`], register
-    /// feedback included), split into combinational positions and register
-    /// indices, plus the frontier nets the cone reads from the fault-free
-    /// world.
+    /// feedback included), compiled into a sub-program of combinational ops
+    /// and a list of register indices, plus the frontier nets the cone reads
+    /// from the fault-free world. The chunk's sites must already be pinned:
+    /// the copied ops and frontier entries fix their pinned bits here.
     ///
     /// A net is *cone-driven* when its driver is in the cone; every other
     /// net holds its fault-free value in all lanes throughout the chunk —
@@ -1606,10 +1632,10 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         let in_cone = cones.cone(self.nl, roots);
         let mut cone_driven = vec![false; self.nl.num_nets()];
         let mut comb = Vec::new();
-        for (p, &c) in self.order.iter().enumerate() {
+        for (op, &c) in self.prog.iter().zip(&self.order) {
             if in_cone[c.index()] {
-                comb.push(p as u32);
-                cone_driven[self.nl.cell(c).output().index()] = true;
+                comb.push(*op);
+                cone_driven[op.out as usize] = true;
             }
         }
         let mut regs = Vec::new();
@@ -1622,26 +1648,22 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         let mut valid_net = cone_driven.clone();
         let mut frontier = Vec::new();
         let mut queued = vec![false; self.nl.num_nets()];
-        let mut add_frontier = |n: pe_netlist::NetId, frontier: &mut Vec<pe_netlist::NetId>| {
-            let i = n.index();
+        let mut add_frontier = |i: usize, frontier: &mut Vec<(u32, bool)>| {
             if !cone_driven[i] && !queued[i] {
                 queued[i] = true;
                 valid_net[i] = true;
-                frontier.push(n);
+                frontier.push((i as u32, self.forced_mask[i] != [0; W]));
             }
         };
-        for &p in &comb {
-            for &inp in self.nl.cell(self.order[p as usize]).inputs() {
-                add_frontier(inp, &mut frontier);
+        let base = self.order.len();
+        let reg_ops = regs.iter().map(|&i| &self.prog[base + i as usize]);
+        for op in comb.iter().chain(reg_ops) {
+            for &inp in &op.ins {
+                add_frontier(inp as usize, &mut frontier);
             }
         }
-        for &i in &regs {
-            for &inp in self.nl.cell(self.regs[i as usize]).inputs() {
-                add_frontier(inp, &mut frontier);
-            }
-        }
-        for &r in roots {
-            add_frontier(r, &mut frontier);
+        for r in roots {
+            add_frontier(r.index(), &mut frontier);
         }
         ConeSchedule { comb, regs, frontier, valid_net }
     }
@@ -1650,92 +1672,29 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// `net.index()` of `state`), broadcast across the lanes with pinned
     /// lanes re-merged — the cone counterpart of driving an entry broadcast.
     fn load_frontier(&mut self, sched: &ConeSchedule, state: &[u64]) {
-        for &n in &sched.frontier {
-            let i = n.index();
+        for &(n, pinned) in &sched.frontier {
+            let i = n as usize;
             let b = broadcast((state[i / LANES] >> (i % LANES)) & 1 == 1);
-            let fm = &self.forced_mask[i];
-            let fv = &self.forced_vals[i];
             let w = &mut self.words[i];
-            for k in 0..W {
-                w[k] = (b & !fm[k]) | (fv[k] & fm[k]);
+            if pinned {
+                let (fm, fv) = (&self.forced_mask[i], &self.forced_vals[i]);
+                for k in 0..W {
+                    w[k] = (b & !fm[k]) | (fv[k] & fm[k]);
+                }
+            } else {
+                *w = [b; W];
             }
         }
     }
 
-    /// One settle pass over the cone's combinational cells only. Positions
-    /// ascend, so this is a valid topological sweep of the cone; inputs from
+    /// One settle pass over the cone's sub-program only. It is in program
+    /// order, so this is a valid topological sweep of the cone; inputs from
     /// outside the cone were frontier-loaded.
     fn eval_cone(&mut self, sched: &ConeSchedule) {
-        let mut ins = [[0u64; W]; 3];
-        for &p in &sched.comb {
-            let cell = self.nl.cell(self.order[p as usize]);
-            let out = cell.output().index();
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            let mut new = cell.kind().eval_packed_wide::<W>(&ins[..cell.inputs().len()]);
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    new[w] = (new[w] & !fm[w]) | (fv[w] & fm[w]);
-                }
-            }
-            self.words[out] = new;
+        for op in &sched.comb {
+            self.step(op, &[!0; W], Tally::Off);
         }
         self.cell_evals += sched.comb.len() as u64;
-    }
-
-    /// Resets the cone's registers to power-on init (pinned lanes keep
-    /// their forced values). Non-cone registers need no reset: if the cone
-    /// reads them their output nets are frontier-loaded, and the golden
-    /// trajectory's first state *is* the post-reset state.
-    fn reset_cone_regs(&mut self, sched: &ConeSchedule) {
-        for &ri in &sched.regs {
-            let i = ri as usize;
-            let cell = self.nl.cell(self.regs[i]);
-            let out = cell.output().index();
-            let init = broadcast(cell.init());
-            let fm = &self.forced_mask[out];
-            let fv = &self.forced_vals[out];
-            for w in 0..W {
-                self.state[i][w] = (init & !fm[w]) | (fv[w] & fm[w]);
-            }
-            self.words[out] = self.state[i];
-        }
-    }
-
-    /// One register update restricted to the cone's registers: capture
-    /// packed next-states from the settled slabs, then apply with the
-    /// forced-lane merge — the cone counterpart of the register phase of
-    /// [`BitSlicedSimulator::tick_lanes`].
-    fn update_cone_regs(&mut self, sched: &ConeSchedule) {
-        let nl = self.nl;
-        let mut ins = [[0u64; W]; 3];
-        for &ri in &sched.regs {
-            let i = ri as usize;
-            let cell = nl.cell(self.regs[i]);
-            for (k, &inp) in cell.inputs().iter().enumerate() {
-                ins[k] = self.words[inp.index()];
-            }
-            self.next_scratch[i] = cell
-                .kind()
-                .next_state_packed_wide::<W>(&ins[..cell.inputs().len()], &self.state[i]);
-        }
-        for &ri in &sched.regs {
-            let i = ri as usize;
-            let out = nl.cell(self.regs[i]).output().index();
-            let mut next = self.next_scratch[i];
-            let fm = &self.forced_mask[out];
-            if *fm != [0; W] {
-                let fv = &self.forced_vals[out];
-                for w in 0..W {
-                    next[w] = (next[w] & !fm[w]) | (fv[w] & fm[w]);
-                }
-            }
-            self.words[out] = next;
-            self.state[i] = next;
-        }
     }
 
     /// Cone-scheduled PPSFP inner loop: the exact counterpart of
@@ -1795,11 +1754,16 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                     self.cycles += watched;
                 }
                 Some(c) => {
-                    self.reset_cone_regs(sched);
+                    // Non-cone registers need no reset: if the cone reads
+                    // them their output nets are frontier-loaded, and the
+                    // golden trajectory's first state *is* the post-reset
+                    // state.
+                    let regs = sched.regs.iter().map(|&i| i as usize);
+                    self.reset_regs(regs.clone());
                     self.load_frontier(sched, &states[0]);
                     self.eval_cone(sched);
                     for state in states.iter().take(c as usize + 1).skip(1) {
-                        self.update_cone_regs(sched);
+                        self.clock_regs(regs.clone(), &[!0; W]);
                         self.load_frontier(sched, state);
                         self.eval_cone(sched);
                     }

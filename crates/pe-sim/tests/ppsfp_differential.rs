@@ -17,6 +17,10 @@
 //! sweeps every [`LaneWidth`] with site counts straddling every slab
 //! boundary (64W ± 1) and pins each width to the same per-site verdicts.
 //!
+//! The campaign simulator is reused across chunks, so the suite also pins
+//! chunk-to-chunk isolation under every [`ConeMode`] at every width, and
+//! force/release replays on long-lived dense and event-driven engines.
+//!
 //! Like the batch differential suite, CI runs this in debug and release:
 //! release strips the debug assertions that would otherwise mask
 //! wrapping/shift mistakes in the lane-masked merge.
@@ -34,7 +38,7 @@ use pe_sim::faults::{
     fault_campaign_comb_ppsfp_wide_opts, fault_campaign_seq_ppsfp, fault_campaign_seq_ppsfp_wide,
     fault_campaign_seq_ppsfp_wide_opts, oracle, pattern_parallel, FaultSite,
 };
-use pe_sim::{ConeMode, LaneWidth};
+use pe_sim::{BatchMode, BitSlicedSimulator, ConeMode, LaneWidth, Simulator};
 
 // ---- model / workload helpers -------------------------------------------
 
@@ -432,17 +436,82 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
 
 #[test]
 fn ppsfp_chunks_do_not_contaminate_each_other() {
-    // Running the same sites as one multi-chunk campaign and as per-site
-    // singleton campaigns must agree: forced lanes from one chunk may not
-    // leak into the next (release + re-force between chunks).
-    let nl = random_netlist(&fuzz_spec(2), 113);
-    let sites = enumerate_fault_sites(&nl);
-    assert!(sites.len() > 128, "need at least three chunks");
-    let workload = fuzz_workload(5, 8, 55);
-    let whole = fault_campaign_seq_ppsfp(&nl, &sites, &workload, "o0", 2).unwrap();
-    let mut critical = 0;
-    for &site in &sites {
-        critical += fault_campaign_seq_ppsfp(&nl, &[site], &workload, "o0", 2).unwrap().critical;
+    // One multi-chunk campaign must agree with the site-serial reference
+    // under every cone mode at every width: the forced lanes
+    // *and* the compiled pinned bits of one chunk may not leak into the
+    // next. Sites are ordered so every chunk re-pins, at the other
+    // polarity, exactly the nets the previous chunk just released — their
+    // cones coincide, so a pinned bit left stale by a release (or missed by
+    // a force) flips verdicts.
+    let spec =
+        RandomNetlistSpec { inputs: 6, gates: 600, registers: 4, outputs: 3, input_prefix: "x" };
+    let nl = random_netlist(&spec, 113);
+    let all = enumerate_fault_sites(&nl);
+    let workload = fuzz_workload(6, 8, 55);
+    // The site-serial reference: one fault per run, pinned in every lane.
+    let want =
+        pattern_parallel::fault_campaign_seq(&nl, &all, &workload, "o0", 2).unwrap().critical;
+    for width in LaneWidth::ALL {
+        // `all` lists each net's stuck-at-0 then stuck-at-1 site, so a run
+        // of 2*lanes sites covers `lanes` nets: one chunk of their
+        // stuck-at-0 sites, then one of their stuck-at-1 sites.
+        let lanes = width.lanes();
+        let mut order: Vec<usize> = Vec::new();
+        for group in (0..all.len()).collect::<Vec<_>>().chunks(2 * lanes) {
+            order.extend(group.iter().filter(|&&i| !all[i].stuck_at));
+            order.extend(group.iter().filter(|&&i| all[i].stuck_at));
+        }
+        let sites: Vec<FaultSite> = order.iter().map(|&i| all[i]).collect();
+        assert!(sites.len() > 2 * lanes, "need at least three chunks at W={width}");
+        for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
+            let (got, stats) =
+                fault_campaign_seq_ppsfp_wide_opts(&nl, &sites, &workload, "o0", 2, width, mode)
+                    .unwrap();
+            assert_eq!(got.critical, want, "{mode:?} at W={width}: chunks contaminated each other");
+            assert_eq!(stats.chunks, sites.len().div_ceil(lanes));
+        }
     }
-    assert_eq!(whole.critical, critical);
+}
+
+/// Pins every fault site of `nl` in turn on one long-lived engine —
+/// `force_net`, `run_batch`, `release_net`, `run_batch` — and checks each
+/// forced batch against a scalar reference with the same net frozen and
+/// each healed batch against a fresh engine.
+fn force_release_replay<const W: usize>(nl: &Netlist, vectors: &[Vec<i64>], event_driven: bool) {
+    let fresh = || {
+        let mut sim = BitSlicedSimulator::<'_, W>::new(nl).unwrap();
+        sim.set_event_driven(event_driven);
+        sim
+    };
+    let healthy = fresh().run_batch(vectors, 0, "o0");
+    let mut sim = fresh();
+    // Settle first so an event-driven worklist starts empty: the force
+    // itself has to wake the fanout.
+    assert_eq!(sim.run_batch(vectors, 0, "o0"), healthy);
+    for site in enumerate_fault_sites(nl) {
+        let mut scalar = Simulator::new(nl).unwrap();
+        scalar.set_batch_mode(BatchMode::Scalar);
+        scalar.force_net(site.net, site.stuck_at);
+        let want = scalar.run_batch(vectors, 0, "o0").outputs;
+        sim.force_net(site.net, site.stuck_at);
+        let what = format!("{site:?} at W={W}, event-driven {event_driven}");
+        assert_eq!(sim.run_batch(vectors, 0, "o0").outputs, want, "forced batch of {what}");
+        sim.release_net(site.net);
+        assert_eq!(sim.run_batch(vectors, 0, "o0").outputs, healthy.outputs, "healed {what}");
+    }
+}
+
+#[test]
+fn force_release_replays_match_fresh_engines() {
+    let nl = random_netlist(&fuzz_spec(0), 21);
+    let vectors: Vec<Vec<i64>> = fuzz_workload(5, 70, 13)
+        .into_iter()
+        .map(|entry| entry.into_iter().map(|(_, v)| v).collect())
+        .collect();
+    for event_driven in [false, true] {
+        force_release_replay::<1>(&nl, &vectors, event_driven);
+        force_release_replay::<2>(&nl, &vectors, event_driven);
+        force_release_replay::<4>(&nl, &vectors, event_driven);
+        force_release_replay::<8>(&nl, &vectors, event_driven);
+    }
 }
