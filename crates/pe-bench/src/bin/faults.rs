@@ -17,24 +17,27 @@
 //! Usage: `cargo run --release -p pe-bench --bin faults
 //!         [max_sites] [--compare] [--collapse] [--width 1|2|4|8] [--events]`
 //!
-//! `--compare` re-runs the same sites through the two reference paths — the
-//! previous pattern-parallel site-serial campaign, and (on a subsample) the
-//! rebuild-per-site serial oracle — asserts the reports agree, and prints
-//! the measured speedups. Verdicts are width-invariant, so `--compare` at a
-//! widened occupancy checks the wide engine against both references.
-//! `--compare` also cross-checks **toggle/activity counters** (not just
+//! `--compare` re-runs a subsample of the sites through the rebuild-per-site
+//! serial oracle, asserts the reports agree, and prints the measured
+//! speedup. Verdicts are width-invariant, so `--compare` at a widened
+//! occupancy checks the wide engine against the oracle. Every campaign is
+//! also re-run unsharded with cones on and off ([`ConeMode::Never`], the
+//! plain-sweep reference) and both reports are asserted equal to the
+//! sharded one; `--compare` additionally checks that the live
+//! [`SimProfile`] recorder reconciles with each run's exit [`ConeStats`],
+//! and cross-checks **toggle/activity counters** (not just
 //! classifications) between the scalar and bit-sliced engines on the same
 //! workload batch; `--events` adds the event-driven (dirty-cell worklist)
 //! engine to that cross-check. Every campaign additionally reports its
 //! cone-scheduling stats: chunks evaluated through their fanout cone vs
 //! full-sweep fallbacks, and the cell evaluations saved vs cone-off.
 //!
-//! `--collapse` additionally runs the statically+workload-collapsed
-//! campaign (`pe_sim::collapse`): equivalence classes, unobservable cones
-//! and workload-quiescent sites are retired before any lane is pinned, the
-//! surviving representatives sweep as usual, and the verdicts are expanded
-//! back over the full site list — asserted bit-identical to the
-//! uncollapsed report, with the site reduction and wall-clock printed.
+//! `--collapse` additionally runs the statically collapsed campaign
+//! (`pe_sim::collapse`): equivalence classes and unobservable cones are
+//! retired before any lane is pinned, the surviving representatives sweep
+//! as usual, and the verdicts are expanded back over the full site list —
+//! asserted bit-identical to the uncollapsed report, with the site
+//! reduction and wall-clock printed.
 
 use pe_core::engine::{self, ExperimentEngine, Job};
 use pe_core::pipeline::{build_netlist, cycles_per_inference, fault_workload, RunOptions};
@@ -44,10 +47,8 @@ use pe_netlist::Netlist;
 use pe_obs::{ProfileRecorder, ProfileSnapshot, SimProfile};
 use pe_sim::collapse::{fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed};
 use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_comb, fault_campaign_comb_ppsfp_wide,
-    fault_campaign_comb_ppsfp_wide_obs, fault_campaign_seq, fault_campaign_seq_ppsfp_wide,
-    fault_campaign_seq_ppsfp_wide_obs, oracle, pattern_parallel, ConeMode, ConeStats, FaultReport,
-    FaultSite,
+    enumerate_fault_sites, fault_campaign_comb_ppsfp_wide_obs, fault_campaign_seq_ppsfp_wide_obs,
+    oracle, ConeMode, ConeStats, FaultReport, FaultSite,
 };
 use pe_sim::{BatchMode, LaneWidth, Simulator};
 use std::time::Instant;
@@ -90,9 +91,8 @@ fn merge(partials: Vec<FaultReport>) -> FaultReport {
 }
 
 /// One campaign implementation driven by [`run_sharded`]: the PPSFP
-/// default, the pattern-parallel dual, or the rebuild-per-site oracle. The
-/// [`LaneWidth`] override only matters to the PPSFP path; the reference
-/// paths ignore it.
+/// default or the rebuild-per-site oracle. The [`LaneWidth`] override only
+/// matters to the PPSFP path; the oracle ignores it.
 type CampaignPath = fn(
     &Netlist,
     &[FaultSite],
@@ -128,36 +128,18 @@ fn ppsfp_path(
     flavor: Flavor,
     width: Option<LaneWidth>,
 ) -> FaultReport {
-    match (flavor, width) {
-        (Flavor::Comb, None) => fault_campaign_comb(nl, sites, workload, out).expect("acyclic"),
-        (Flavor::Comb, Some(w)) => {
-            fault_campaign_comb_ppsfp_wide(nl, sites, workload, out, w).expect("acyclic")
-        }
-        (Flavor::Seq { cycles }, None) => {
-            fault_campaign_seq(nl, sites, workload, out, cycles).expect("acyclic")
-        }
-        (Flavor::Seq { cycles }, Some(w)) => {
-            fault_campaign_seq_ppsfp_wide(nl, sites, workload, out, cycles, w).expect("acyclic")
-        }
-    }
-}
-
-fn patpar_path(
-    nl: &Netlist,
-    sites: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out: &str,
-    flavor: Flavor,
-    _width: Option<LaneWidth>,
-) -> FaultReport {
+    // `None` is the default campaigns' width: the smallest slab covering
+    // the shard.
+    let w = width.unwrap_or_else(|| LaneWidth::for_sites(sites.len()));
+    let mode = ConeMode::Auto;
     match flavor {
-        Flavor::Comb => {
-            pattern_parallel::fault_campaign_comb(nl, sites, workload, out).expect("acyclic")
-        }
+        Flavor::Comb => fault_campaign_comb_ppsfp_wide_obs(nl, sites, workload, out, w, mode, None),
         Flavor::Seq { cycles } => {
-            pattern_parallel::fault_campaign_seq(nl, sites, workload, out, cycles).expect("acyclic")
+            fault_campaign_seq_ppsfp_wide_obs(nl, sites, workload, out, cycles, w, mode, None)
         }
     }
+    .expect("acyclic")
+    .0
 }
 
 fn oracle_path(
@@ -352,17 +334,18 @@ fn campaign(
     }
 
     if collapse {
-        // Collapsed campaign: classes + unobservable + workload-quiet sites
+        // Collapsed campaign: equivalence classes and unobservable sites
         // retired, representatives swept, verdicts expanded back. The report
         // must be indistinguishable from the full campaign's.
         let t0 = Instant::now();
+        let mode = ConeMode::Auto;
         let (creport, cstats) = match flavor {
-            Flavor::Comb => {
-                fault_campaign_comb_ppsfp_collapsed(&nl, &sites, &workload, "class", eff_width)
-                    .expect("acyclic")
-            }
+            Flavor::Comb => fault_campaign_comb_ppsfp_collapsed(
+                &nl, &sites, &workload, "class", eff_width, mode,
+            )
+            .expect("acyclic"),
             Flavor::Seq { cycles } => fault_campaign_seq_ppsfp_collapsed(
-                &nl, &sites, &workload, "class", cycles, eff_width,
+                &nl, &sites, &workload, "class", cycles, eff_width, mode,
             )
             .expect("acyclic"),
         };
@@ -372,13 +355,12 @@ fn campaign(
         let _ = ppsfp_path(&nl, &sites, &workload, "class", flavor, Some(eff_width));
         let f_secs = t1.elapsed().as_secs_f64();
         println!(
-            "fault collapsing : {} sites -> {} simulated ({} classes, {} statically benign, \
-             {} workload-quiet; {:.1} % collapsed away)",
+            "fault collapsing : {} sites -> {} simulated ({} classes, {} statically benign; \
+             {:.1} % collapsed away)",
             cstats.sites,
             cstats.simulated,
             cstats.classes,
             cstats.static_benign,
-            cstats.workload_benign,
             100.0 * cstats.reduction(),
         );
         println!(
@@ -390,9 +372,6 @@ fn campaign(
     }
 
     if compare {
-        let (pp, pp_secs) =
-            run_sharded(&nl, &shards, &workload, flavor, width, threads, patpar_path);
-        assert_eq!(pp, report, "pattern-parallel report must match PPSFP");
         let oracle_sites: Vec<FaultSite> =
             sites.iter().copied().step_by(pe_bench::sample_step(sites.len(), ORACLE_CAP)).collect();
         let oracle_shards = sweep_aligned_shards(&oracle_sites, threads, width);
@@ -402,13 +381,13 @@ fn campaign(
             run_sharded(&nl, &oracle_shards, &workload, flavor, width, threads, ppsfp_path);
         assert_eq!(ora, ppsfp_sub, "oracle report must match PPSFP on the subsample");
         let per_site = |s: f64, n: usize| 1e6 * s / n.max(1) as f64;
-        println!("\nper-site cost    : {:.1} µs PPSFP | {:.1} µs pattern-parallel | {:.1} µs rebuild oracle",
-            per_site(secs, report.total),
-            per_site(pp_secs, pp.total),
-            per_site(ora_secs, ora.total));
         println!(
-            "speedup          : {:.1}x vs pattern-parallel, {:.0}x vs serial-site rebuild oracle",
-            pp_secs / secs.max(1e-9),
+            "\nper-site cost    : {:.1} µs PPSFP | {:.1} µs rebuild oracle",
+            per_site(secs, report.total),
+            per_site(ora_secs, ora.total)
+        );
+        println!(
+            "speedup          : {:.0}x vs serial-site rebuild oracle",
             per_site(ora_secs, ora.total) / per_site(ppsfp_sub_secs, ppsfp_sub.total).max(1e-9)
         );
         activity_crosscheck(

@@ -5,7 +5,7 @@
 //! input features are quantized to a handful of bits, and trained coefficients
 //! (weights, biases) are quantized post-training to the lowest precision that
 //! retains accuracy. This crate provides the numeric substrate shared by the
-//! training side ([`pe-ml`]) and the hardware side ([`pe-synth`]):
+//! training side (`pe-ml`) and the hardware side (`pe-synth`):
 //!
 //! * [`FxFormat`] / [`Fx`] — a dynamically-formatted fixed-point value with
 //!   explicit width, fractional bits and signedness, plus saturating and

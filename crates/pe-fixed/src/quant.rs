@@ -228,8 +228,8 @@ pub fn quant_stats(data: &[f64], scheme: QuantScheme) -> QuantStats {
 
 /// A quantized tensor: integers plus the scheme that produced them.
 ///
-/// This is the handoff object from training ([`pe-ml`]) to circuit generation
-/// ([`pe-synth`]): the integers become hardwired constants and the scheme
+/// This is the handoff object from training (`pe-ml`) to circuit generation
+/// (`pe-synth`): the integers become hardwired constants and the scheme
 /// becomes bit widths and binary-point positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedTensor {

@@ -15,10 +15,10 @@
 //!   records (`enqueue → coalesce → sweep → verify → reply`). Writers never
 //!   block: a contended slot drops the record and counts the drop. Readers
 //!   dump the most recent spans for a `trace` wire command.
-//! * [`profile`] — the [`SimProfile`](profile::SimProfile) hook trait the
+//! * [`profile`] — the [`SimProfile`] hook trait the
 //!   simulator crate feeds with per-batch phase timings (drive/eval/readout),
 //!   sweep counts, event-driven work accounting, and per-chunk fault-campaign
-//!   cone statistics — plus [`ProfileRecorder`](profile::ProfileRecorder), an
+//!   cone statistics — plus [`ProfileRecorder`], an
 //!   atomic aggregator any number of simulators can share.
 //!
 //! The dependency direction is strictly upward: `pe-sim` and `pe-serve`

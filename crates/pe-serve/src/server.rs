@@ -20,7 +20,7 @@
 //!    [`protocol::MAX_LINE`](crate::protocol::MAX_LINE) are answered with
 //!    an error and discarded up to the next newline),
 //! 4. **pumps** each connection's pipelined reply FIFO — classify requests
-//!    become [`Ticket`](crate::Ticket)s polled with `try_wait`, immediate
+//!    become [`Ticket`]s polled with `try_wait`, immediate
 //!    replies (`ping`, `stats`, …) queue behind them so replies always come
 //!    back in request order — and
 //! 5. **flushes** write buffers as far as the sockets accept.
@@ -38,7 +38,7 @@
 //! request queues its `bye`, the loop stops accepting and reading,
 //! [`Service::shutdown`] runs (answering every queued request), then the
 //! loop keeps pumping tickets and flushing until every connection's
-//! pipeline is empty (or [`DRAIN_DEADLINE`] passes). No throwaway
+//! pipeline is empty (or `DRAIN_DEADLINE` passes). No throwaway
 //! self-connection is needed to wake an accept loop — nothing blocks.
 
 use crate::metrics::FrontendStats;

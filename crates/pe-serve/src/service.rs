@@ -29,8 +29,6 @@
 //! *soft*: a non-owner steals a key when its batch is full (at saturation
 //! warmness matters less than idle workers), when the owner has let the
 //! oldest request sit past **twice** the deadline, or during shutdown.
-//! [`ServiceConfig::warm`] (default on) can be turned off to reproduce the
-//! old fresh-simulator-per-batch behavior for comparison.
 //!
 //! # Weighted-fair admission
 //!
@@ -141,11 +139,6 @@ pub struct ServiceConfig {
     /// counts — the `pe_sim_*` series of the `metrics` exposition). Off
     /// skips every phase clock read inside `run_batch`.
     pub sim_profile: bool,
-    /// Keep a warm [`pe_sim::WarmSimulator`] per (worker, key) instead of
-    /// stamping out a fresh all-dirty simulator per batch (the default).
-    /// Off reproduces the old cold path — useful for measuring exactly what
-    /// warmth buys (`loadgen --cold`).
-    pub warm: bool,
     /// Weighted-fair admission weights per key (default 1.0 for keys not
     /// listed). A key with weight 2.0 accrues virtual time half as fast and
     /// therefore gets twice the service share under contention.
@@ -168,7 +161,6 @@ impl Default for ServiceConfig {
             trace_capacity: 256,
             trace_slow: Duration::ZERO,
             sim_profile: true,
-            warm: true,
             weights: Vec::new(),
         }
     }
@@ -725,34 +717,11 @@ fn run_one_batch(
             (int_preds, 0, 0, 0)
         }
         ServeMode::Gate | ServeMode::Verify => {
-            let (lane_words, result);
-            if shared.cfg.warm {
-                // The warm path: reuse (or seed, first time) this worker's
-                // long-lived slab engine for the key. Reattach is a pure
-                // move — the per-batch setup cost the cold path pays in
-                // simulator construction is gone, and the event-driven
-                // worklist keeps its clean state from the previous batch.
-                let warm = warm_sims.entry(key).or_insert_with(|| {
-                    let mut sim = entry.simulator();
-                    if let Some(w) = shared.cfg.lane_width {
-                        sim.set_lane_width(w);
-                    }
-                    sim.set_event_driven(shared.cfg.event_driven);
-                    if shared.cfg.sim_profile {
-                        let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
-                        sim.set_profile(Some(profile));
-                    }
-                    WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
-                });
-                lane_words = warm.sim.lane_width().words();
-                setup_end = Instant::now();
-                result = warm.sim.run_batch(
-                    &warm.entry.netlist,
-                    &vectors,
-                    entry.cycles_per_vector,
-                    "class",
-                );
-            } else {
+            // The warm path: reuse (or seed, first time) this worker's
+            // long-lived slab engine for the key. Reattach is a pure move —
+            // no per-batch simulator construction, and the event-driven
+            // worklist keeps its clean state from the previous batch.
+            let warm = warm_sims.entry(key).or_insert_with(|| {
                 let mut sim = entry.simulator();
                 if let Some(w) = shared.cfg.lane_width {
                     sim.set_lane_width(w);
@@ -762,10 +731,12 @@ fn run_one_batch(
                     let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
                     sim.set_profile(Some(profile));
                 }
-                lane_words = sim.lane_width().words();
-                setup_end = Instant::now();
-                result = sim.run_batch(&vectors, entry.cycles_per_vector, "class");
-            }
+                WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
+            });
+            let lane_words = warm.sim.lane_width().words();
+            setup_end = Instant::now();
+            let result =
+                warm.sim.run_batch(&warm.entry.netlist, &vectors, entry.cycles_per_vector, "class");
             let sweep_end = Instant::now();
             sweep = sweep_end.saturating_duration_since(setup_end);
             let gate: Vec<usize> = result.outputs.iter().map(|&v| v as usize).collect();
@@ -1098,11 +1069,10 @@ mod tests {
     #[test]
     fn warm_and_cold_serving_agree_with_the_golden_model() {
         // The same repeated low-activity stream through a warm event-driven
-        // service and a cold dense one: replies identical to the integer
-        // model on both, zero verify mismatches, and the warm service must
-        // have actually reused its engines (fewer sim batches than served
-        // requests is implied by coalescing; the real warm pin — identical
-        // toggle accounting — lives in the serving_equivalence suite).
+        // service and a warm dense one: replies identical to the integer
+        // model on both and zero verify mismatches (the real warm pin —
+        // identical toggle accounting — lives in the serving_equivalence
+        // suite).
         let registry = test_registry();
         let key = cardio_seq();
         let entry = registry.get(key);
@@ -1110,12 +1080,11 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..96).map(|_| base.clone()).collect();
         let want: Vec<_> =
             xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
-        for (warm, event_driven) in [(true, true), (true, false), (false, false)] {
+        for event_driven in [true, false] {
             let svc = Service::start(
                 Arc::clone(&registry),
                 ServiceConfig {
                     mode: ServeMode::Verify,
-                    warm,
                     event_driven,
                     workers: 1,
                     batch_deadline: Duration::from_millis(1),
@@ -1128,11 +1097,11 @@ mod tests {
                 assert_eq!(
                     svc.classify_batch(key, &xs),
                     want,
-                    "warm={warm} events={event_driven} round {round}"
+                    "events={event_driven} round {round}"
                 );
             }
             let m = svc.metrics();
-            assert_eq!(m.verify_mismatches, 0, "warm={warm} events={event_driven}");
+            assert_eq!(m.verify_mismatches, 0, "events={event_driven}");
             assert_eq!(m.served, 3 * 96);
             svc.shutdown();
         }

@@ -761,8 +761,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// normally. Pinned lanes are re-merged after every cell evaluation and
     /// register update, so `64 * W` *different* faulty machines can tick in
     /// lockstep in one slab — the PPSFP mechanism behind
-    /// [`crate::faults::fault_campaign_comb_ppsfp`] and
-    /// [`crate::faults::fault_campaign_seq_ppsfp`]. Repeated calls merge:
+    /// [`crate::faults::fault_campaign_comb`] and
+    /// [`crate::faults::fault_campaign_seq`]. Repeated calls merge:
     /// forcing the same net in different lanes (e.g. its stuck-at-0 and
     /// stuck-at-1 sites packed into one chunk) accumulates.
     pub fn force_lanes(&mut self, net: pe_netlist::NetId, values: [u64; W], mask: [u64; W]) {

@@ -1,51 +1,33 @@
 //! Collapsed PPSFP fault campaigns: run class representatives only, prove
 //! the rest benign statically, and expand verdicts back bit-for-bit.
 //!
-//! The campaign pipeline composes three verdict-preserving reductions before
-//! any lane is pinned:
+//! The campaign pipeline composes two verdict-preserving reductions from
+//! [`pe_lint::collapse_sites`] before any lane is pinned:
 //!
-//! 1. **Equivalence collapsing** ([`pe_lint::collapse_sites`]): classic
-//!    gate-rule equivalence classes (inverter/buffer chains, controlling
-//!    input ≡ forced output, register `d`-at-init ≡ `q`-at-init). Every
-//!    member of a class induces the *same* faulty circuit, so one
-//!    representative's verdict is every member's verdict.
-//! 2. **Structural observability** (also from `pe-lint`): classes with no
-//!    member whose fanout cone reaches an output port can never diverge
-//!    anything observable — statically benign, never simulated.
-//! 3. **Workload quiescence/masking** ([`workload_must_simulate`]): a
-//!    phase-unrolled ternary difference propagation over the campaign's own
-//!    fault-free trajectory. A site whose pinned value equals the settled
-//!    fault-free value at every phase of an entry injects no difference in
-//!    that entry; a difference that is injected is propagated forward as an
-//!    unknown (X) with the *concrete* fault-free phase values masking side
-//!    inputs (a diff through an `And2` whose other pin settles to 0 dies
-//!    unless that pin is itself diffed, and so on per [`CellKind::eval`]).
-//!    Clock edges hand register `d`-pin diffs to `q` for the next phase, and
-//!    only the final phase of each entry is compared — exactly the
-//!    observation point of the sequential reset protocol
-//!    ([`crate::BitSlicedSimulator::lanes_diverging_seq_reset`] reads the output
-//!    port once per entry, after the last tick). Sites whose difference
-//!    provably never reaches the observed port at that point, in any entry,
-//!    are benign without simulation.
+//! 1. **Equivalence collapsing**: classic gate-rule equivalence classes
+//!    (inverter/buffer chains, controlling input ≡ forced output, register
+//!    `d`-at-init ≡ `q`-at-init). Every member of a class induces the
+//!    *same* faulty circuit, so one representative's verdict is every
+//!    member's verdict.
+//! 2. **Structural observability**: classes with no member whose fanout
+//!    cone reaches an output port can never diverge anything observable —
+//!    statically benign, never simulated.
 //!
-//! All three are *sound over-approximations of divergence*: a site is only
-//! dropped when no input vector of the campaign can distinguish the faulty
-//! machine at the observed port, so the expanded [`FaultReport`] is
-//! bit-identical to the uncollapsed campaign's — the differential suite
-//! pins this across lane widths and cone modes.
+//! Both are *sound*: a site is only dropped when no input vector can
+//! distinguish the faulty machine at the observed port, so the expanded
+//! [`FaultReport`] is bit-identical to the uncollapsed campaign's — the
+//! differential suite pins this across lane widths and cone modes.
 //!
-//! On the paper's sequential OvR classifier (4126 sites) the pipeline
-//! retires ~20% of the fault list before simulation; the xor/maj-dominated
-//! MAC datapath is collapse-resistant to pure gate-rule equivalence (~1%),
-//! so nearly all of the reduction comes from observability and the
-//! phase-unrolled masking analysis.
+//! On the paper's sequential OvR classifier (4126 sites) the two retire
+//! 13.7 % of the fault list before simulation: the xor/maj-dominated MAC
+//! datapath is collapse-resistant to pure gate-rule equivalence (25 sites
+//! merge into classes), and nearly all of the reduction comes from the 542
+//! statically benign sites.
 
 use crate::bitslice::LaneWidth;
 use crate::faults::{ppsfp_verdicts, ConeMode, FaultReport, FaultSite};
-use crate::sim::Simulator;
 use pe_lint::StuckAt;
-use pe_netlist::graph::topo_order;
-use pe_netlist::{CellKind, Netlist, NetlistError};
+use pe_netlist::{Netlist, NetlistError};
 
 /// Site accounting of one collapsed campaign (second element of the
 /// collapsed campaign results).
@@ -57,20 +39,12 @@ pub struct CollapseStats {
     pub classes: usize,
     /// Classes proven benign structurally (no observable member).
     pub static_benign: usize,
-    /// Classes proven benign by the workload quiescence/masking analysis.
-    pub workload_benign: usize,
-    /// Sites actually pinned into simulator lanes (class representatives
-    /// that survived both benign proofs).
+    /// Sites actually pinned into simulator lanes (one representative per
+    /// class that is not statically benign).
     pub simulated: usize,
 }
 
 impl CollapseStats {
-    /// Sites retired before simulation.
-    #[must_use]
-    pub fn collapsed_away(&self) -> usize {
-        self.sites - self.simulated
-    }
-
     /// Fraction of the fault list never pinned into a lane.
     #[must_use]
     pub fn reduction(&self) -> f64 {
@@ -80,182 +54,6 @@ impl CollapseStats {
             1.0 - self.simulated as f64 / self.sites as f64
         }
     }
-}
-
-/// Which candidate sites might diverge the observed port: the phase-unrolled
-/// ternary difference propagation described in the [module docs](self).
-///
-/// Returns one flag per candidate — `false` means *provably benign on this
-/// workload* (the sound direction; `true` only means the analysis could not
-/// rule divergence out). Designs without a topological order are left
-/// entirely unpruned.
-///
-/// # Panics
-///
-/// Panics on unknown ports or out-of-range input values, like the campaigns.
-///
-/// # Errors
-///
-/// Propagates scheduling errors from the fault-free reference run.
-pub fn workload_must_simulate(
-    nl: &Netlist,
-    candidates: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: Option<u64>,
-) -> Result<Vec<bool>, NetlistError> {
-    if candidates.is_empty() {
-        return Ok(Vec::new());
-    }
-    let Ok(order) = topo_order(nl) else {
-        return Ok(vec![true; candidates.len()]);
-    };
-    let out_bits: Vec<usize> = nl
-        .output_ports()
-        .find(|p| p.name() == out_port)
-        .unwrap_or_else(|| panic!("no output port named {out_port:?}"))
-        .bits()
-        .iter()
-        .map(|b| b.index())
-        .collect();
-
-    let n = nl.num_nets();
-    // Local bit positions: up to one sa0 and one sa1 candidate per net.
-    let mut bit_of = vec![[usize::MAX; 2]; n];
-    for (i, f) in candidates.iter().enumerate() {
-        bit_of[f.net.index()][usize::from(f.stuck_at)] = i;
-    }
-    let words = candidates.len().div_ceil(64);
-
-    let comb_cells: Vec<(usize, Vec<usize>, CellKind)> = order
-        .iter()
-        .map(|&c| {
-            let cell = nl.cell(c);
-            (cell.output().index(), cell.inputs().iter().map(|x| x.index()).collect(), cell.kind())
-        })
-        .collect();
-    let reg_cells: Vec<(usize, Vec<usize>, CellKind)> = nl
-        .cells()
-        .filter(|(_, c)| c.kind().is_sequential())
-        .map(|(_, c)| {
-            (c.output().index(), c.inputs().iter().map(|x| x.index()).collect(), c.kind())
-        })
-        .collect();
-
-    let mut sim = Simulator::new(nl)?;
-    let nets: Vec<pe_netlist::NetId> = nl.nets().map(|(id, _)| id).collect();
-    let mut must = vec![0u64; words];
-    let mut dd = vec![0u64; words * n];
-    for entry in workload {
-        for (p, v) in entry {
-            sim.set_input(p, *v);
-        }
-        // The settle points of this entry, in campaign order.
-        let mut snaps: Vec<Vec<bool>> = Vec::new();
-        match cycles {
-            None => {
-                sim.eval_comb();
-                snaps.push(nets.iter().map(|&id| sim.net_value(id)).collect());
-            }
-            Some(c) => {
-                sim.reset();
-                snaps.push(nets.iter().map(|&id| sim.net_value(id)).collect());
-                for _ in 0..c {
-                    sim.tick();
-                    snaps.push(nets.iter().map(|&id| sim.net_value(id)).collect());
-                }
-            }
-        }
-
-        dd.fill(0);
-        for (t, snap) in snaps.iter().enumerate() {
-            if t > 0 {
-                // Clock edge: q inherits d's diff from the settled previous
-                // phase (DffE conservatively unions d, enable, and held q).
-                let latched: Vec<Vec<u64>> = reg_cells
-                    .iter()
-                    .map(|(q, ins, kind)| {
-                        let mut row = dd[words * ins[0]..words * (ins[0] + 1)].to_vec();
-                        if *kind == CellKind::DffE {
-                            for w in 0..words {
-                                row[w] |= dd[words * ins[1] + w] | dd[words * q + w];
-                            }
-                        }
-                        row
-                    })
-                    .collect();
-                for ((q, _, _), row) in reg_cells.iter().zip(latched) {
-                    dd[words * q..words * (q + 1)].copy_from_slice(&row);
-                }
-            }
-            // Pinned-net override: a candidate's own net differs from the
-            // fault-free run exactly when the settled value isn't the pinned
-            // one — whatever flowed in from upstream.
-            for i in 0..n {
-                let [b0, b1] = bit_of[i];
-                for (b, diff) in [(b0, snap[i]), (b1, !snap[i])] {
-                    if b != usize::MAX {
-                        let m = 1u64 << (b % 64);
-                        let w = words * i + b / 64;
-                        dd[w] = if diff { dd[w] | m } else { dd[w] & !m };
-                    }
-                }
-            }
-            for (out, ins, kind) in &comb_cells {
-                let gins: Vec<bool> = ins.iter().map(|&i| snap[i]).collect();
-                let gout = kind.eval(&gins);
-                // A pin whose lone flip can't change the settled output only
-                // passes a diff when some co-input is diffed too.
-                let masked: Vec<bool> = (0..ins.len())
-                    .map(|p| {
-                        let mut v = gins.clone();
-                        v[p] = !v[p];
-                        kind.eval(&v) == gout
-                    })
-                    .collect();
-                let own: Vec<(usize, u64)> = bit_of[*out]
-                    .iter()
-                    .filter(|&&b| b != usize::MAX)
-                    .map(|&b| (b / 64, 1u64 << (b % 64)))
-                    .collect();
-                for w in 0..words {
-                    let mut contrib = 0u64;
-                    for (p, &m) in masked.iter().enumerate() {
-                        let dp = dd[words * ins[p] + w];
-                        if dp == 0 {
-                            continue;
-                        }
-                        if m {
-                            let mut unmask = 0u64;
-                            for (q, &i2) in ins.iter().enumerate() {
-                                if q != p {
-                                    unmask |= dd[words * i2 + w];
-                                }
-                            }
-                            contrib |= dp & unmask;
-                        } else {
-                            contrib |= dp;
-                        }
-                    }
-                    // The pinned-net override on this net survives its own
-                    // driver's recomputation.
-                    for &(ow, om) in &own {
-                        if ow == w {
-                            contrib = (contrib & !om) | (dd[words * out + w] & om);
-                        }
-                    }
-                    dd[words * out + w] = contrib;
-                }
-            }
-        }
-        // Only the final settle of each entry is compared by the campaigns.
-        for &b in &out_bits {
-            for w in 0..words {
-                must[w] |= dd[words * b + w];
-            }
-        }
-    }
-    Ok((0..candidates.len()).map(|i| must[i / 64] >> (i % 64) & 1 == 1).collect())
 }
 
 /// The shared collapsed-campaign frame.
@@ -272,36 +70,20 @@ fn collapsed_campaign(
         faults.iter().map(|f| StuckAt { net: f.net, stuck_at: f.stuck_at }).collect();
     let collapsed = pe_lint::collapse_sites(nl, &sites);
     let reps: Vec<FaultSite> = collapsed.simulate.iter().map(|&i| faults[i]).collect();
-    let must = workload_must_simulate(nl, &reps, workload, out_port, cycles)?;
-    let survivors: Vec<FaultSite> =
-        reps.iter().zip(&must).filter(|&(_, &m)| m).map(|(&f, _)| f).collect();
-    let (verdicts, _) = ppsfp_verdicts(nl, &survivors, workload, out_port, cycles, width, mode)?;
-
-    // Verdicts aligned with the static simulate list: pruned reps are benign.
-    let mut rep_verdicts = vec![false; collapsed.simulate.len()];
-    let mut k = 0usize;
-    for (j, &m) in must.iter().enumerate() {
-        if m {
-            rep_verdicts[j] = verdicts[k];
-            k += 1;
-        }
-    }
-    let full = collapsed.expand_verdicts(&rep_verdicts, false);
-    let critical = full.iter().filter(|&&v| v).count();
+    let (verdicts, _) = ppsfp_verdicts(nl, &reps, workload, out_port, cycles, width, mode, None)?;
     let stats = CollapseStats {
         sites: faults.len(),
         classes: collapsed.num_representatives(),
         static_benign: collapsed.static_benign.len(),
-        workload_benign: must.iter().filter(|&&m| !m).count(),
-        simulated: survivors.len(),
+        simulated: reps.len(),
     };
-    Ok((FaultReport { critical, benign: faults.len() - critical, total: faults.len() }, stats))
+    Ok((FaultReport::from_verdicts(&collapsed.expand_verdicts(&verdicts, false)), stats))
 }
 
 /// Collapsed PPSFP campaign on a **combinational** design: equivalence
-/// classes, structural observability, and the workload masking analysis
-/// retire sites before simulation; the remaining representatives run through
-/// [`crate::faults::fault_campaign_comb_ppsfp_wide`]'s frame and their
+/// classes and structurally unobservable sites are retired before
+/// simulation, the remaining representatives sweep at `width` under `mode`
+/// (see [`crate::faults::fault_campaign_comb_ppsfp_wide_obs`]), and their
 /// verdicts expand back over their classes. The [`FaultReport`] is
 /// bit-identical to the uncollapsed campaign's.
 ///
@@ -313,26 +95,6 @@ fn collapsed_campaign(
 ///
 /// Propagates scheduling errors.
 pub fn fault_campaign_comb_ppsfp_collapsed(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-) -> Result<(FaultReport, CollapseStats), NetlistError> {
-    fault_campaign_comb_ppsfp_collapsed_opts(nl, faults, workload, out_port, width, ConeMode::Auto)
-}
-
-/// [`fault_campaign_comb_ppsfp_collapsed`] with an explicit [`ConeMode`]
-/// for the surviving representatives' sweeps.
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_collapsed_opts(
     nl: &Netlist,
     faults: &[FaultSite],
     workload: &[Vec<(String, i64)>],
@@ -350,7 +112,7 @@ pub fn fault_campaign_comb_ppsfp_collapsed_opts(
 /// Collapsed PPSFP campaign on a **sequential** design under the
 /// per-classification reset protocol: see
 /// [`fault_campaign_comb_ppsfp_collapsed`] for the reduction pipeline and
-/// [`crate::faults::fault_campaign_seq_ppsfp_wide`] for the campaign
+/// [`crate::faults::fault_campaign_seq_ppsfp_wide_obs`] for the campaign
 /// semantics the verdicts are bit-identical to.
 ///
 /// # Panics
@@ -361,35 +123,6 @@ pub fn fault_campaign_comb_ppsfp_collapsed_opts(
 ///
 /// Propagates scheduling errors.
 pub fn fault_campaign_seq_ppsfp_collapsed(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-) -> Result<(FaultReport, CollapseStats), NetlistError> {
-    fault_campaign_seq_ppsfp_collapsed_opts(
-        nl,
-        faults,
-        workload,
-        out_port,
-        cycles,
-        width,
-        ConeMode::Auto,
-    )
-}
-
-/// [`fault_campaign_seq_ppsfp_collapsed`] with an explicit [`ConeMode`]
-/// for the surviving representatives' sweeps.
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp_collapsed_opts(
     nl: &Netlist,
     faults: &[FaultSite],
     workload: &[Vec<(String, i64)>],

@@ -23,17 +23,25 @@
 //! faulty machine reset per entry — so the default campaigns auto-pick the
 //! smallest slab covering the site list ([`LaneWidth::for_sites`]): a
 //! campaign with more than 64 sites automatically completes in fewer
-//! sweeps. The `_ppsfp_wide` variants take an explicit width.
+//! sweeps.
 //!
-//! Two slower implementations survive as references the differential suite
-//! checks the PPSFP campaigns against, site by site:
+//! The campaign surface is three pairs, each with a combinational and a
+//! sequential member:
 //!
-//! * [`pattern_parallel`] — the previous fast path: sites iterated serially,
-//!   64 workload *patterns* per word (the dual packing; it wastes lanes
-//!   whenever the workload is shorter than 64 and pays per-site
-//!   force/run/release overhead on every single site).
-//! * [`oracle`] — the original flow: a freshly scheduled [`FaultySimulator`]
-//!   per site, one pattern at a time.
+//! * [`fault_campaign_comb`] / [`fault_campaign_seq`] — the defaults: auto
+//!   width, [`ConeMode::Auto`].
+//! * [`fault_campaign_comb_ppsfp_wide_obs`] /
+//!   [`fault_campaign_seq_ppsfp_wide_obs`] — explicit width, cone mode and
+//!   an optional [`SimProfile`] hook; they also return the campaign's
+//!   [`ConeStats`].
+//! * [`crate::collapse::fault_campaign_comb_ppsfp_collapsed`] /
+//!   [`crate::collapse::fault_campaign_seq_ppsfp_collapsed`] — the same
+//!   verdicts with statically equivalent and unobservable sites retired
+//!   before simulation.
+//!
+//! [`oracle`] keeps the original flow as the reference the differential
+//! suites check every PPSFP campaign against, site by site: a freshly
+//! scheduled scalar simulator per site, one pattern at a time.
 
 use crate::bitslice::{lane_mask_wide, BitSlicedSimulator, LaneWidth, LANES};
 use crate::sim::Simulator;
@@ -48,73 +56,6 @@ pub struct FaultSite {
     pub net: NetId,
     /// The value the net is stuck at.
     pub stuck_at: bool,
-}
-
-/// A simulator wrapper that forces a set of nets to constant values after
-/// every settle pass.
-#[derive(Debug)]
-pub struct FaultySimulator<'nl> {
-    sim: Simulator<'nl>,
-    faults: Vec<FaultSite>,
-}
-
-impl<'nl> FaultySimulator<'nl> {
-    /// Builds a faulty simulator: every fault site is pinned via
-    /// [`Simulator::force_net`], so ordinary evaluation and clocking simply
-    /// never touch the faulted nets.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError::CombinationalCycle`] from scheduling.
-    pub fn new(nl: &'nl Netlist, faults: Vec<FaultSite>) -> Result<Self, NetlistError> {
-        let mut sim = Simulator::new(nl)?;
-        for f in &faults {
-            sim.force_net(f.net, f.stuck_at);
-        }
-        sim.eval_comb();
-        Ok(FaultySimulator { sim, faults })
-    }
-
-    /// Drives an input port (see [`Simulator::set_input`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown ports or out-of-range values.
-    pub fn set_input(&mut self, port: &str, value: i64) {
-        self.sim.set_input(port, value);
-    }
-
-    /// Settles combinational logic with faults applied.
-    pub fn eval_comb(&mut self) {
-        self.sim.eval_comb();
-    }
-
-    /// One clock cycle with faults pinned across the edge.
-    pub fn tick(&mut self) {
-        self.sim.tick();
-    }
-
-    /// The injected faults.
-    #[must_use]
-    pub fn faults(&self) -> &[FaultSite] {
-        &self.faults
-    }
-
-    /// Reads an output port as unsigned (see [`Simulator::output_unsigned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown ports.
-    #[must_use]
-    pub fn output_unsigned(&self, port: &str) -> i64 {
-        self.sim.output_unsigned(port)
-    }
-
-    /// Current value of a net (for inspecting the pinned sites).
-    #[must_use]
-    pub fn net_value(&self, net: NetId) -> bool {
-        self.sim.net_value(net)
-    }
 }
 
 /// Enumerates candidate fault sites: every cell output net (input and
@@ -154,6 +95,12 @@ impl FaultReport {
             self.critical as f64 / self.total as f64
         }
     }
+
+    /// Folds per-site verdicts (`true` = critical) into a report.
+    pub(crate) fn from_verdicts(verdicts: &[bool]) -> Self {
+        let critical = verdicts.iter().filter(|&&v| v).count();
+        FaultReport { critical, benign: verdicts.len() - critical, total: verdicts.len() }
+    }
 }
 
 /// Cone-scheduling policy of the PPSFP campaigns.
@@ -176,7 +123,7 @@ pub enum ConeMode {
     Never,
 }
 
-/// Work accounting of one PPSFP campaign (second element of the `_opts`
+/// Work accounting of one PPSFP campaign (second element of the `_wide_obs`
 /// campaign results): how many sweep chunks took the cone-scheduled path and
 /// the total combinational cell evaluations spent, the metric cone
 /// scheduling exists to shrink at identical verdicts.
@@ -279,8 +226,9 @@ impl GoldenTrajectory {
 
 /// Runs a fault campaign on a **combinational** design: for each fault,
 /// drives every workload vector and compares the output port against the
-/// fault-free run. This is the PPSFP path
-/// ([`fault_campaign_comb_ppsfp`]) — one fault site per bit-sliced lane.
+/// fault-free run. This is the PPSFP path at the auto-picked width
+/// ([`LaneWidth::for_sites`]) under [`ConeMode::Auto`] — one fault site per
+/// bit-sliced lane; see [`fault_campaign_comb_ppsfp_wide_obs`].
 ///
 /// # Panics
 ///
@@ -296,15 +244,17 @@ pub fn fault_campaign_comb(
     workload: &[Vec<(String, i64)>],
     out_port: &str,
 ) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp(nl, faults, workload, out_port)
+    let width = LaneWidth::for_sites(faults.len());
+    fault_campaign_comb_ppsfp_wide_obs(nl, faults, workload, out_port, width, ConeMode::Auto, None)
+        .map(|(report, _)| report)
 }
 
 /// Runs a fault campaign on a **sequential** design: each workload entry
 /// starts from power-on register state (faults stay pinned across the
 /// reset), is driven for `cycles` clock ticks (inputs held), and the output
 /// port is compared against the fault-free run — faults are judged per
-/// classification. This is the PPSFP path
-/// ([`fault_campaign_seq_ppsfp`]) — one fault site per bit-sliced lane.
+/// classification. This is the PPSFP path at the auto-picked width under
+/// [`ConeMode::Auto`]; see [`fault_campaign_seq_ppsfp_wide_obs`].
 ///
 /// # Panics
 ///
@@ -320,7 +270,10 @@ pub fn fault_campaign_seq(
     out_port: &str,
     cycles: u64,
 ) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp(nl, faults, workload, out_port, cycles)
+    let width = LaneWidth::for_sites(faults.len());
+    let mode = ConeMode::Auto;
+    fault_campaign_seq_ppsfp_wide_obs(nl, faults, workload, out_port, cycles, width, mode, None)
+        .map(|(report, _)| report)
 }
 
 /// Pins one chunk of fault sites, one per lane, and returns the watch mask.
@@ -334,33 +287,17 @@ fn force_site_lanes<const W: usize>(
     lane_mask_wide::<W>(chunk.len())
 }
 
-/// The width-monomorphized PPSFP campaign frame shared by the comb and seq
-/// entry points: pin `64 * W` sites per sweep, drive the workload broadcast,
-/// accumulate divergence, release. Under [`ConeMode::Auto`] /
-/// [`ConeMode::Always`] each chunk is evaluated through its fanout cone
-/// (frontier loaded from a once-captured [`GoldenTrajectory`]) whenever the
-/// cone is sparse enough to pay; every chunk's verdicts are bit-identical
-/// either way.
-fn fault_campaign_ppsfp_w<const W: usize>(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: Option<u64>,
-    mode: ConeMode,
-    profile: Option<&dyn SimProfile>,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    let (verdicts, stats) = fault_campaign_ppsfp_verdicts_w::<W>(
-        nl, faults, workload, out_port, cycles, mode, profile,
-    )?;
-    let critical = verdicts.iter().filter(|&&v| v).count();
-    Ok((FaultReport { critical, benign: faults.len() - critical, total: faults.len() }, stats))
-}
-
-/// The per-site form of the PPSFP frame: `verdicts[i]` is true iff pinning
-/// `faults[i]` diverged the observed port on some workload entry. The
-/// aggregate campaigns fold this into a [`FaultReport`]; the collapsed
-/// campaigns ([`crate::collapse`]) expand it back over equivalence classes.
+/// The width-monomorphized PPSFP campaign frame shared by every campaign:
+/// pin `64 * W` sites per sweep, drive the workload broadcast, accumulate
+/// divergence, release. Under [`ConeMode::Auto`] / [`ConeMode::Always`]
+/// each chunk is evaluated through its fanout cone (frontier loaded from a
+/// once-captured [`GoldenTrajectory`]) whenever the cone is sparse enough
+/// to pay; every chunk's verdicts are bit-identical either way.
+///
+/// `verdicts[i]` is true iff pinning `faults[i]` diverged the observed port
+/// on some workload entry. The aggregate campaigns fold this into a
+/// [`FaultReport`]; the collapsed campaigns ([`crate::collapse`]) expand it
+/// back over equivalence classes.
 fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
     nl: &Netlist,
     faults: &[FaultSite],
@@ -441,7 +378,9 @@ fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
     Ok((verdicts, stats))
 }
 
-/// Width-dispatched per-site PPSFP verdicts for the collapsed campaigns.
+/// The one width dispatch of the PPSFP campaigns: per-site verdicts and
+/// work accounting at `width`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn ppsfp_verdicts(
     nl: &Netlist,
     faults: &[FaultSite],
@@ -450,83 +389,38 @@ pub(crate) fn ppsfp_verdicts(
     cycles: Option<u64>,
     width: LaneWidth,
     mode: ConeMode,
+    profile: Option<&dyn SimProfile>,
 ) -> Result<(Vec<bool>, ConeStats), NetlistError> {
+    let (f, w, o, c, m, p) = (faults, workload, out_port, cycles, mode, profile);
     match width {
-        LaneWidth::W1 => {
-            fault_campaign_ppsfp_verdicts_w::<1>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W2 => {
-            fault_campaign_ppsfp_verdicts_w::<2>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W4 => {
-            fault_campaign_ppsfp_verdicts_w::<4>(nl, faults, workload, out_port, cycles, mode, None)
-        }
-        LaneWidth::W8 => {
-            fault_campaign_ppsfp_verdicts_w::<8>(nl, faults, workload, out_port, cycles, mode, None)
-        }
+        LaneWidth::W1 => fault_campaign_ppsfp_verdicts_w::<1>(nl, f, w, o, c, m, p),
+        LaneWidth::W2 => fault_campaign_ppsfp_verdicts_w::<2>(nl, f, w, o, c, m, p),
+        LaneWidth::W4 => fault_campaign_ppsfp_verdicts_w::<4>(nl, f, w, o, c, m, p),
+        LaneWidth::W8 => fault_campaign_ppsfp_verdicts_w::<8>(nl, f, w, o, c, m, p),
     }
 }
 
 /// PPSFP fault campaign on a **combinational** design at an explicit
-/// [`LaneWidth`]: fault sites are packed `64 * W` per slab (site `l` of a
-/// chunk pinned in lane `l` via [`BitSlicedSimulator::force_lane`]), every
-/// workload pattern is driven broadcast across the lanes, and a per-lane
-/// divergence mask against the fault-free golden response collects the
-/// verdicts — with an early exit once every site in the sweep has diverged.
-/// One simulator is scheduled for the whole campaign.
+/// [`LaneWidth`] and [`ConeMode`]: fault sites are packed `64 * W` per slab
+/// (site `l` of a chunk pinned in lane `l` via
+/// [`BitSlicedSimulator::force_lane`]), every workload pattern is driven
+/// broadcast across the lanes, and a per-lane divergence mask against the
+/// fault-free golden response collects the verdicts — with an early exit
+/// once every site in the sweep has diverged. One simulator is scheduled
+/// for the whole campaign.
 ///
 /// Settled values are lane-wise pure functions of the broadcast inputs and
 /// the lane's pinned net, so the verdicts are bit-identical to the
 /// rebuild-per-site reference ([`oracle::fault_campaign_comb`]), site for
-/// site, at every width.
+/// site, at every width and in every mode; only the returned [`ConeStats`]
+/// differ.
 ///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_wide(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp_wide_opts(nl, faults, workload, out_port, width, ConeMode::Auto)
-        .map(|(report, _)| report)
-}
-
-/// [`fault_campaign_comb_ppsfp_wide`] with an explicit [`ConeMode`],
-/// additionally returning the campaign's [`ConeStats`]. Verdicts are
-/// bit-identical across every mode; only the work accounting differs.
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp_wide_opts(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    width: LaneWidth,
-    mode: ConeMode,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    fault_campaign_comb_ppsfp_wide_obs(nl, faults, workload, out_port, width, mode, None)
-}
-
-/// [`fault_campaign_comb_ppsfp_wide_opts`] with an optional [`SimProfile`]
-/// hook fed live during the campaign: once per `64 * W`-site chunk
-/// ([`SimProfile::on_chunk`] — cone-scheduled or fallback, with the
-/// cone/core cell counts and the chunk's cell-evaluation cost) and once for
-/// the golden run ([`SimProfile::on_campaign_golden`]). A
-/// [`pe_obs::ProfileRecorder`]'s campaign totals reconcile exactly with the
-/// returned [`ConeStats`].
+/// An optional [`SimProfile`] hook is fed live during the campaign: once per
+/// `64 * W`-site chunk ([`SimProfile::on_chunk`] — cone-scheduled or
+/// fallback, with the cone/core cell counts and the chunk's
+/// cell-evaluation cost) and once for the golden run
+/// ([`SimProfile::on_campaign_golden`]). A [`pe_obs::ProfileRecorder`]'s
+/// campaign totals reconcile exactly with the returned [`ConeStats`].
 ///
 /// # Panics
 ///
@@ -548,106 +442,22 @@ pub fn fault_campaign_comb_ppsfp_wide_obs(
         crate::sim::is_combinational(nl),
         "fault_campaign_comb requires a combinational design"
     );
-    let p = profile;
-    match width {
-        LaneWidth::W1 => fault_campaign_ppsfp_w::<1>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W2 => fault_campaign_ppsfp_w::<2>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W4 => fault_campaign_ppsfp_w::<4>(nl, faults, workload, out_port, None, mode, p),
-        LaneWidth::W8 => fault_campaign_ppsfp_w::<8>(nl, faults, workload, out_port, None, mode, p),
-    }
-}
-
-/// PPSFP fault campaign on a **combinational** design at the auto-picked
-/// width: the smallest slab covering the site list
-/// ([`LaneWidth::for_sites`]), so campaigns with more than 64 sites finish
-/// in fewer sweeps at identical verdicts. See
-/// [`fault_campaign_comb_ppsfp_wide`].
-///
-/// # Panics
-///
-/// Panics if the design is sequential or ports are unknown.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_comb_ppsfp(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_comb_ppsfp_wide(
-        nl,
-        faults,
-        workload,
-        out_port,
-        LaneWidth::for_sites(faults.len()),
-    )
+    let (verdicts, stats) =
+        ppsfp_verdicts(nl, faults, workload, out_port, None, width, mode, profile)?;
+    Ok((FaultReport::from_verdicts(&verdicts), stats))
 }
 
 /// PPSFP fault campaign on a **sequential** design at an explicit
-/// [`LaneWidth`], under the per-classification reset protocol: `64 * W`
-/// faulty machines — one fault site per lane — reset, load the broadcast
-/// pattern and tick in lockstep, per workload entry, against the fault-free
-/// golden response ([`BitSlicedSimulator::lanes_diverging_seq_reset`]). The
-/// reset keeps pinned lanes pinned, so the verdicts are bit-identical to the
+/// [`LaneWidth`] and [`ConeMode`], under the per-classification reset
+/// protocol: `64 * W` faulty machines — one fault site per lane — reset,
+/// load the broadcast pattern and tick in lockstep, per workload entry,
+/// against the fault-free golden response
+/// ([`BitSlicedSimulator::lanes_diverging_seq_reset`]). The reset keeps
+/// pinned lanes pinned, so the verdicts are bit-identical to the
 /// rebuild-per-site reference ([`oracle::fault_campaign_seq`]), site for
-/// site, at every width.
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp_wide(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp_wide_opts(
-        nl,
-        faults,
-        workload,
-        out_port,
-        cycles,
-        width,
-        ConeMode::Auto,
-    )
-    .map(|(report, _)| report)
-}
-
-/// [`fault_campaign_seq_ppsfp_wide`] with an explicit [`ConeMode`],
-/// additionally returning the campaign's [`ConeStats`]. Verdicts are
-/// bit-identical across every mode; only the work accounting differs.
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp_wide_opts(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-    width: LaneWidth,
-    mode: ConeMode,
-) -> Result<(FaultReport, ConeStats), NetlistError> {
-    fault_campaign_seq_ppsfp_wide_obs(nl, faults, workload, out_port, cycles, width, mode, None)
-}
-
-/// [`fault_campaign_seq_ppsfp_wide_opts`] with an optional [`SimProfile`]
-/// hook fed live during the campaign — the sequential counterpart of
-/// [`fault_campaign_comb_ppsfp_wide_obs`]; see there for the feed points and
-/// the reconciliation guarantee with the returned [`ConeStats`].
+/// site, at every width and in every mode. See
+/// [`fault_campaign_comb_ppsfp_wide_obs`] for the profile feed points and
+/// their reconciliation with the returned [`ConeStats`].
 ///
 /// # Panics
 ///
@@ -667,154 +477,58 @@ pub fn fault_campaign_seq_ppsfp_wide_obs(
     mode: ConeMode,
     profile: Option<&dyn SimProfile>,
 ) -> Result<(FaultReport, ConeStats), NetlistError> {
-    let c = Some(cycles);
-    let p = profile;
-    match width {
-        LaneWidth::W1 => fault_campaign_ppsfp_w::<1>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W2 => fault_campaign_ppsfp_w::<2>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W4 => fault_campaign_ppsfp_w::<4>(nl, faults, workload, out_port, c, mode, p),
-        LaneWidth::W8 => fault_campaign_ppsfp_w::<8>(nl, faults, workload, out_port, c, mode, p),
-    }
-}
-
-/// PPSFP fault campaign on a **sequential** design at the auto-picked width
-/// ([`LaneWidth::for_sites`]). See [`fault_campaign_seq_ppsfp_wide`].
-///
-/// # Panics
-///
-/// Panics on unknown ports or `cycles == 0`.
-///
-/// # Errors
-///
-/// Propagates scheduling errors.
-pub fn fault_campaign_seq_ppsfp(
-    nl: &Netlist,
-    faults: &[FaultSite],
-    workload: &[Vec<(String, i64)>],
-    out_port: &str,
-    cycles: u64,
-) -> Result<FaultReport, NetlistError> {
-    fault_campaign_seq_ppsfp_wide(
-        nl,
-        faults,
-        workload,
-        out_port,
-        cycles,
-        LaneWidth::for_sites(faults.len()),
-    )
-}
-
-/// The previous fast campaign implementations: fault sites iterated
-/// **serially**, workload patterns packed 64 per word — the dual of the
-/// PPSFP packing. Kept as the mid-speed reference the differential suite
-/// cross-checks (PPSFP == pattern-parallel == oracle): the two fast paths
-/// fail differently, so agreement is strong evidence both are right.
-///
-/// Pattern packing wastes lanes whenever the workload holds fewer than 64
-/// patterns (a 40-sample campaign uses 40 of 64 lanes on every one of
-/// thousands of sites) and pays the per-site force/run/release overhead on
-/// every site; the PPSFP path amortizes both 64 sites at a time.
-pub mod pattern_parallel {
-    use super::{BitSlicedSimulator, FaultReport, FaultSite, Netlist, NetlistError, LANES};
-
-    /// Pattern-parallel, site-serial counterpart of
-    /// [`super::fault_campaign_comb_ppsfp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the design is sequential or ports are unknown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling errors.
-    pub fn fault_campaign_comb(
-        nl: &Netlist,
-        faults: &[FaultSite],
-        workload: &[Vec<(String, i64)>],
-        out_port: &str,
-    ) -> Result<FaultReport, NetlistError> {
-        assert!(
-            crate::sim::is_combinational(nl),
-            "fault_campaign_comb requires a combinational design"
-        );
-        let mut sim: BitSlicedSimulator<'_> = BitSlicedSimulator::new(nl)?;
-        let golden = sim.run_workload_comb(workload, out_port);
-        let mut critical = 0usize;
-        for &fault in faults {
-            sim.force_net(fault.net, fault.stuck_at);
-            // Chunk-wise early exit: the first diverging 64-pattern chunk
-            // already proves the fault critical (settled values are pure
-            // functions of inputs, so skipping later chunks changes nothing).
-            let mut differs = false;
-            let mut done = 0;
-            for chunk in workload.chunks(LANES) {
-                if sim.run_workload_comb(chunk, out_port) != golden[done..done + chunk.len()] {
-                    differs = true;
-                    break;
-                }
-                done += chunk.len();
-            }
-            if differs {
-                critical += 1;
-            }
-            sim.release_net(fault.net);
-        }
-        Ok(FaultReport { critical, benign: faults.len() - critical, total: faults.len() })
-    }
-
-    /// Pattern-parallel, site-serial counterpart of
-    /// [`super::fault_campaign_seq_ppsfp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown ports or `cycles == 0`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduling errors.
-    pub fn fault_campaign_seq(
-        nl: &Netlist,
-        faults: &[FaultSite],
-        workload: &[Vec<(String, i64)>],
-        out_port: &str,
-        cycles: u64,
-    ) -> Result<FaultReport, NetlistError> {
-        let mut sim: BitSlicedSimulator<'_> = BitSlicedSimulator::new(nl)?;
-        let golden = sim.run_workload_seq_reset(workload, cycles, out_port);
-        let mut critical = 0usize;
-        for &fault in faults {
-            sim.force_net(fault.net, fault.stuck_at);
-            // Chunk-wise early exit; the per-classification reset makes
-            // chunks independent, so later chunks cannot change the verdict.
-            let mut differs = false;
-            let mut done = 0;
-            for chunk in workload.chunks(LANES) {
-                if sim.run_workload_seq_reset(chunk, cycles, out_port)
-                    != golden[done..done + chunk.len()]
-                {
-                    differs = true;
-                    break;
-                }
-                done += chunk.len();
-            }
-            if differs {
-                critical += 1;
-            }
-            sim.release_net(fault.net);
-        }
-        Ok(FaultReport { critical, benign: faults.len() - critical, total: faults.len() })
-    }
+    let (verdicts, stats) =
+        ppsfp_verdicts(nl, faults, workload, out_port, Some(cycles), width, mode, profile)?;
+    Ok((FaultReport::from_verdicts(&verdicts), stats))
 }
 
 /// The original rebuild-per-site campaign implementations.
 ///
-/// These schedule a fresh [`FaultySimulator`] for every fault site and
-/// evaluate one pattern at a time — quadratic-ish work the reused
-/// force/release campaigns above avoid. They are kept **only** as the
-/// reference oracle: the differential suite asserts the fast campaigns
+/// These schedule a fresh scalar [`Simulator`] for every fault
+/// site and evaluate one pattern at a time — quadratic-ish work the reused
+/// force/release PPSFP campaigns avoid. They are kept **only** as the
+/// reference oracle: the differential suites assert the fast campaigns
 /// reproduce these reports exactly, site for site.
 pub mod oracle {
-    use super::{FaultReport, FaultSite, FaultySimulator, Netlist, NetlistError};
+    use super::{FaultReport, FaultSite, Netlist, NetlistError};
+    use crate::sim::Simulator;
+
+    /// A scalar simulator with a set of nets forced to constant values.
+    #[derive(Debug)]
+    pub(super) struct FaultySimulator<'nl> {
+        sim: Simulator<'nl>,
+        faults: Vec<FaultSite>,
+    }
+
+    impl<'nl> FaultySimulator<'nl> {
+        /// Builds a faulty simulator: every fault site is pinned via
+        /// [`Simulator::force_net`], so ordinary evaluation and clocking
+        /// simply never touch the faulted nets.
+        pub(super) fn new(nl: &'nl Netlist, faults: Vec<FaultSite>) -> Result<Self, NetlistError> {
+            let mut sim = Simulator::new(nl)?;
+            for f in &faults {
+                sim.force_net(f.net, f.stuck_at);
+            }
+            sim.eval_comb();
+            Ok(FaultySimulator { sim, faults })
+        }
+
+        /// Drives an input port (see [`Simulator::set_input`]).
+        pub(super) fn set_input(&mut self, port: &str, value: i64) {
+            self.sim.set_input(port, value);
+        }
+
+        /// Settles combinational logic with faults applied.
+        pub(super) fn eval_comb(&mut self) {
+            self.sim.eval_comb();
+        }
+
+        /// Reads an output port as unsigned (see
+        /// [`Simulator::output_unsigned`]).
+        pub(super) fn output_unsigned(&self, port: &str) -> i64 {
+            self.sim.output_unsigned(port)
+        }
+    }
 
     /// Reference implementation of [`super::fault_campaign_comb`]: one
     /// freshly scheduled simulator per fault site.
@@ -838,7 +552,7 @@ pub mod oracle {
         );
         // Golden responses.
         let mut golden = Vec::with_capacity(workload.len());
-        let mut sim = crate::sim::Simulator::new(nl)?;
+        let mut sim = Simulator::new(nl)?;
         for vec in workload {
             for (p, v) in vec {
                 sim.set_input(p, *v);
@@ -896,7 +610,7 @@ pub mod oracle {
                     fsim.set_input(p, *v);
                 }
                 for _ in 0..cycles {
-                    fsim.tick();
+                    fsim.sim.tick();
                 }
                 responses.push(fsim.output_unsigned(out_port));
             }
@@ -915,6 +629,7 @@ pub mod oracle {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::FaultySimulator;
     use super::*;
     use pe_netlist::Builder;
 
@@ -966,10 +681,9 @@ mod tests {
         f.set_input("x", 1);
         f.set_input("y", 0);
         f.eval_comb();
-        // The faulted net is pinned regardless of inputs.
-        // (Which output changes depends on the site; just check the pin.)
-        let pinned = f.net_value(s0_site.net);
-        assert!(!pinned);
+        // The first site is the low sum bit's net: pinned at 0, 1 + 0
+        // reads 0 instead of 1.
+        assert_eq!(f.output_unsigned("s"), 0);
     }
 
     #[test]
@@ -1134,18 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn ppsfp_campaigns_match_pattern_parallel_and_oracle() {
-        let nl = adder2();
-        let sites = enumerate_fault_sites(&nl);
-        let ppsfp = fault_campaign_comb_ppsfp(&nl, &sites, &full_workload(), "s").unwrap();
-        let patpar =
-            pattern_parallel::fault_campaign_comb(&nl, &sites, &full_workload(), "s").unwrap();
-        let slow = oracle::fault_campaign_comb(&nl, &sites, &full_workload(), "s").unwrap();
-        assert_eq!(ppsfp, patpar);
-        assert_eq!(ppsfp, slow);
-    }
-
-    #[test]
     fn profile_recorder_reconciles_with_cone_stats() {
         // The observability contract: a ProfileRecorder fed live through the
         // `_obs` entry points must reproduce the campaign's exit-summary
@@ -1198,7 +900,7 @@ mod tests {
         assert_eq!(s.campaign_cell_evals, sstats.cell_evals);
         assert_eq!(s.campaign_sites as usize, sreport.total);
         // And the verdicts are identical to the unprofiled path.
-        let (plain, _) = fault_campaign_seq_ppsfp_wide_opts(
+        let (plain, _) = fault_campaign_seq_ppsfp_wide_obs(
             &snl,
             &ssites,
             &wl,
@@ -1206,6 +908,7 @@ mod tests {
             3,
             LaneWidth::W1,
             ConeMode::Auto,
+            None,
         )
         .unwrap();
         assert_eq!(sreport, plain);
@@ -1217,13 +920,15 @@ mod tests {
         // not depend on how many faulty machines share a sweep.
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
-        let baseline =
-            fault_campaign_comb_ppsfp_wide(&nl, &sites, &full_workload(), "s", LaneWidth::W1)
-                .unwrap();
+        let wl = full_workload();
+        let comb = |width| {
+            fault_campaign_comb_ppsfp_wide_obs(&nl, &sites, &wl, "s", width, ConeMode::Auto, None)
+                .unwrap()
+                .0
+        };
+        let baseline = comb(LaneWidth::W1);
         for width in LaneWidth::ALL {
-            let wide =
-                fault_campaign_comb_ppsfp_wide(&nl, &sites, &full_workload(), "s", width).unwrap();
-            assert_eq!(wide, baseline, "comb verdicts diverge at {width} words");
+            assert_eq!(comb(width), baseline, "comb verdicts diverge at {width} words");
         }
 
         let mut b = Builder::new("seqwide");
@@ -1234,11 +939,15 @@ mod tests {
         let snl = b.finish();
         let ssites = enumerate_fault_sites(&snl);
         let wl: Vec<Vec<(String, i64)>> = (0..4).map(|v| vec![("x0".to_string(), v & 1)]).collect();
-        let sbase =
-            fault_campaign_seq_ppsfp_wide(&snl, &ssites, &wl, "q", 3, LaneWidth::W1).unwrap();
+        let seq = |width| {
+            let mode = ConeMode::Auto;
+            fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &wl, "q", 3, width, mode, None)
+                .unwrap()
+                .0
+        };
+        let sbase = seq(LaneWidth::W1);
         for width in LaneWidth::ALL {
-            let wide = fault_campaign_seq_ppsfp_wide(&snl, &ssites, &wl, "q", 3, width).unwrap();
-            assert_eq!(wide, sbase, "seq verdicts diverge at {width} words");
+            assert_eq!(seq(width), sbase, "seq verdicts diverge at {width} words");
         }
     }
 
@@ -1254,7 +963,7 @@ mod tests {
             assert_eq!(a.net, b.net, "paired sites share a net");
             assert_ne!(a.stuck_at, b.stuck_at);
         }
-        let report = fault_campaign_comb_ppsfp(&nl, &sites, &full_workload(), "s").unwrap();
+        let report = fault_campaign_comb(&nl, &sites, &full_workload(), "s").unwrap();
         assert_eq!(report.benign, 0, "adders are fully testable: {report:?}");
     }
 
@@ -1265,33 +974,13 @@ mod tests {
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
         let wl = full_workload();
-        let (never, sn) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
-        let (always, sa) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (auto, _) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &sites,
-            &wl,
-            "s",
-            LaneWidth::W1,
-            ConeMode::Auto,
-        )
-        .unwrap();
+        let comb = |mode| {
+            fault_campaign_comb_ppsfp_wide_obs(&nl, &sites, &wl, "s", LaneWidth::W1, mode, None)
+                .unwrap()
+        };
+        let (never, sn) = comb(ConeMode::Never);
+        let (always, sa) = comb(ConeMode::Always);
+        let (auto, _) = comb(ConeMode::Auto);
         assert_eq!(always, never, "cone-scheduled comb verdicts diverged");
         assert_eq!(auto, never, "auto comb verdicts diverged");
         assert_eq!(sn.cone_chunks, 0, "Never must not take the cone path");
@@ -1307,26 +996,12 @@ mod tests {
         let ssites = enumerate_fault_sites(&snl);
         let swl: Vec<Vec<(String, i64)>> =
             (0..4).map(|v| vec![("x0".to_string(), v & 1)]).collect();
-        let (snever, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &snl,
-            &ssites,
-            &swl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
-        let (salways, st) = fault_campaign_seq_ppsfp_wide_opts(
-            &snl,
-            &ssites,
-            &swl,
-            "q",
-            3,
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
+        let seq = |mode| {
+            let w1 = LaneWidth::W1;
+            fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &swl, "q", 3, w1, mode, None).unwrap()
+        };
+        let (snever, _) = seq(ConeMode::Never);
+        let (salways, st) = seq(ConeMode::Always);
         assert_eq!(salways, snever, "cone-scheduled seq verdicts diverged");
         assert_eq!(st.cone_chunks, st.chunks, "Always must run every chunk through cones");
         assert_eq!(
@@ -1367,24 +1042,12 @@ mod tests {
                 ]
             })
             .collect();
-        let (always, sa) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &tail,
-            &wl,
-            "o",
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (never, sn) = fault_campaign_comb_ppsfp_wide_opts(
-            &nl,
-            &tail,
-            &wl,
-            "o",
-            LaneWidth::W1,
-            ConeMode::Never,
-        )
-        .unwrap();
+        let tail_campaign = |mode| {
+            fault_campaign_comb_ppsfp_wide_obs(&nl, &tail, &wl, "o", LaneWidth::W1, mode, None)
+                .unwrap()
+        };
+        let (always, sa) = tail_campaign(ConeMode::Always);
+        let (never, sn) = tail_campaign(ConeMode::Never);
         assert_eq!(always, never);
         assert_eq!(always.critical, 1, "stuck-at-1 critical, stuck-at-0 masked by z=0");
         assert!(

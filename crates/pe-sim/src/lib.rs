@@ -22,6 +22,13 @@
 //! against at every width. See [`bitslice`] for the slab layout, masking
 //! rules and batch semantics.
 //!
+//! Stuck-at fault campaigns have one surface: [`faults::fault_campaign_comb`]
+//! / [`faults::fault_campaign_seq`] by default, the `_ppsfp_wide_obs` pair
+//! for an explicit width, cone mode and profile hook, and
+//! [`collapse`]'s `_ppsfp_collapsed` pair for statically collapsed site
+//! lists. [`faults::oracle`] is the rebuild-per-site reference they are all
+//! checked against.
+//!
 //! # Example
 //!
 //! ```
@@ -58,6 +65,6 @@ pub use bitslice::{BitSlicedSimulator, DetachedSlab, LaneWidth};
 pub use collapse::{
     fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed, CollapseStats,
 };
-pub use faults::{ConeMode, ConeStats, FaultReport, FaultSite, FaultySimulator};
+pub use faults::{ConeMode, ConeStats, FaultReport, FaultSite};
 pub use sim::{BatchMode, BatchResult, Schedule, Simulator};
 pub use warm::WarmSimulator;

@@ -1,7 +1,8 @@
 //! Lifetime-free **warm** simulators for long-lived serving workers.
 //!
-//! The serving path's economics problem: [`Simulator::run_batch`] constructs
-//! a fresh [`BitSlicedSimulator`] per call, and a fresh engine starts its
+//! The serving path's economics problem:
+//! [`Simulator::run_batch`](crate::Simulator::run_batch) constructs a fresh
+//! [`BitSlicedSimulator`] per call, and a fresh engine starts its
 //! event-driven worklist *all-dirty* — the first settle of every batch is a
 //! full sweep, so the worklist pays its bookkeeping overhead without ever
 //! collecting its savings. That is exactly why event-driven serving *lost*
@@ -24,14 +25,15 @@
 //!   the inputs that actually changed *since the previous batch*,
 //! * toggle counters and cycle/eval accounting (so activity reports span
 //!   the worker's whole serving history, like a long-lived dense
-//!   [`Simulator`]),
+//!   [`Simulator`](crate::Simulator)),
 //! * forced lanes, if any.
 //!
 //! # Equivalence contract
 //!
 //! A warm simulator fed a stream of batches is bit-identical — outputs,
 //! carried state, *and* toggle counters — to one long-lived dense
-//! [`Simulator`] fed the same batches at the same [`LaneWidth`]: the slabs
+//! [`Simulator`](crate::Simulator) fed the same batches at the same
+//! [`LaneWidth`]: the slabs
 //! between batches are broadcasts of the carried serial state either way,
 //! and the event-driven worklist's exactness invariant (see
 //! [`BitSlicedSimulator::set_event_driven`]) makes the skip lossless.

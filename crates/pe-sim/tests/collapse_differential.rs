@@ -1,15 +1,14 @@
 //! Differential lockdown of the collapsed fault campaigns.
 //!
-//! The collapsed campaigns ([`pe_sim::collapse`]) retire fault sites three
-//! ways before pinning a lane — equivalence classes, structural
-//! observability, and the phase-unrolled workload masking analysis — and
-//! every reduction must be invisible in the verdicts. Each test runs the
+//! The collapsed campaigns ([`pe_sim::collapse`]) retire fault sites two
+//! ways before pinning a lane — equivalence classes and structural
+//! observability — and every reduction must be invisible in the verdicts. Each test runs the
 //! same campaign through the uncollapsed PPSFP path and the collapsed path
 //! and asserts the reports are **identical**, across lane widths and cone
 //! modes, on generated design styles, seeded-random netlists with
 //! registered feedback, and hand-built pathologies (dead cones, inverter
-//! chains, workload-quiescent gates) where the collapser actually has work
-//! to do.
+//! chains, workload-quiescent gates) where the collapser has work to do or
+//! must leave a site alone.
 //!
 //! The site-enumeration order of `pe-lint`'s collapser is additionally
 //! pinned against [`enumerate_fault_sites`]: the two crates must agree on
@@ -22,12 +21,9 @@ use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::QuantizedSvm;
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec, RawNetlistBuilder};
 use pe_netlist::{CellKind, Driver, Netlist};
-use pe_sim::collapse::{
-    fault_campaign_comb_ppsfp_collapsed_opts, fault_campaign_seq_ppsfp_collapsed_opts,
-    workload_must_simulate,
-};
+use pe_sim::collapse::{fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed};
 use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_comb_ppsfp_wide_opts, fault_campaign_seq_ppsfp_wide_opts,
+    enumerate_fault_sites, fault_campaign_comb_ppsfp_wide_obs, fault_campaign_seq_ppsfp_wide_obs,
     FaultSite,
 };
 use pe_sim::{ConeMode, LaneWidth};
@@ -92,13 +88,13 @@ fn assert_seq_collapsed_identical(
 ) {
     for width in WIDTHS {
         for mode in MODES {
-            let (full, _) =
-                fault_campaign_seq_ppsfp_wide_opts(nl, sites, workload, out, cycles, width, mode)
-                    .unwrap();
-            let (collapsed, stats) = fault_campaign_seq_ppsfp_collapsed_opts(
-                nl, sites, workload, out, cycles, width, mode,
+            let (full, _) = fault_campaign_seq_ppsfp_wide_obs(
+                nl, sites, workload, out, cycles, width, mode, None,
             )
             .unwrap();
+            let (collapsed, stats) =
+                fault_campaign_seq_ppsfp_collapsed(nl, sites, workload, out, cycles, width, mode)
+                    .unwrap();
             assert_eq!(full, collapsed, "collapsed seq verdicts differ at {width:?}/{mode:?}");
             assert_eq!(stats.sites, sites.len());
             assert!(stats.simulated <= stats.sites);
@@ -116,10 +112,10 @@ fn assert_comb_collapsed_identical(
     for width in WIDTHS {
         for mode in MODES {
             let (full, _) =
-                fault_campaign_comb_ppsfp_wide_opts(nl, sites, workload, out, width, mode).unwrap();
-            let (collapsed, stats) =
-                fault_campaign_comb_ppsfp_collapsed_opts(nl, sites, workload, out, width, mode)
+                fault_campaign_comb_ppsfp_wide_obs(nl, sites, workload, out, width, mode, None)
                     .unwrap();
+            let (collapsed, stats) =
+                fault_campaign_comb_ppsfp_collapsed(nl, sites, workload, out, width, mode).unwrap();
             assert_eq!(full, collapsed, "collapsed comb verdicts differ at {width:?}/{mode:?}");
             assert_eq!(stats.sites, sites.len());
         }
@@ -212,7 +208,7 @@ fn dead_cones_are_statically_benign() {
 
     let sites = enumerate_fault_sites(&nl);
     let workload = fuzz_workload(2, 4, 77);
-    let (_, stats) = fault_campaign_comb_ppsfp_collapsed_opts(
+    let (_, stats) = fault_campaign_comb_ppsfp_collapsed(
         &nl,
         &sites,
         &workload,
@@ -244,7 +240,7 @@ fn inverter_chains_collapse_to_class_representatives() {
     let sites = enumerate_fault_sites(&nl);
     assert_eq!(sites.len(), 6);
     let workload = fuzz_workload(1, 4, 5);
-    let (_, stats) = fault_campaign_comb_ppsfp_collapsed_opts(
+    let (_, stats) = fault_campaign_comb_ppsfp_collapsed(
         &nl,
         &sites,
         &workload,
@@ -258,11 +254,12 @@ fn inverter_chains_collapse_to_class_representatives() {
     assert_comb_collapsed_identical(&nl, &sites, &workload, "o0");
 }
 
-/// The workload analysis proves sites quiet when the workload never
-/// exercises them: an `And2` leg held at 0 keeps the gate's output at 0 in
-/// every settled phase, so its stuck-at-0 site needs no lane.
+/// A gate the workload never exercises: an `And2` leg held at 0 keeps the
+/// gate's output at 0 in every entry, so its stuck-at-0 site is benign on
+/// this workload although no static rule can retire it. The collapsed
+/// campaign must simulate it and still match the full campaign.
 #[test]
-fn workload_quiet_sites_are_pruned_and_still_correct() {
+fn workload_quiet_sites_collapse_identically() {
     let mut rb = RawNetlistBuilder::new("quiet");
     let x = rb.input("x0");
     let y = rb.input("x1");
@@ -274,35 +271,9 @@ fn workload_quiet_sites_are_pruned_and_still_correct() {
     let nl = rb.finish();
     nl.validate().unwrap();
 
-    // x1 is driven 0 in every entry: g settles to 0 everywhere, so g-sa0
-    // injects no difference and must be provably benign.
     let workload: Vec<Vec<(String, i64)>> = (0..3)
         .map(|i| vec![("x0".to_string(), i64::from(i % 2 == 0)), ("x1".to_string(), 0)])
         .collect();
     let sites = enumerate_fault_sites(&nl);
-    let must = workload_must_simulate(&nl, &sites, &workload, "o0", None).unwrap();
-    let g_sa0 = sites.iter().position(|s| s.net == g && !s.stuck_at).unwrap();
-    let g_sa1 = sites.iter().position(|s| s.net == g && s.stuck_at).unwrap();
-    assert!(!must[g_sa0], "quiescent site should be retired by the workload analysis");
-    assert!(must[g_sa1], "the opposite polarity diverges and must keep its lane");
     assert_comb_collapsed_identical(&nl, &sites, &workload, "o0");
-}
-
-/// Netlists without a topological order (combinational cycles) must pass
-/// through unpruned rather than mis-pruned: the analysis falls back to
-/// simulate-everything.
-#[test]
-fn unanalyzable_netlists_are_left_unpruned() {
-    let mut rb = RawNetlistBuilder::new("cyclic");
-    let x = rb.input("x0");
-    let n1 = rb.net(Driver::Input);
-    let n2 = rb.net(Driver::Input);
-    rb.cell(CellKind::And2, &[x, n2], n1);
-    rb.cell(CellKind::Or2, &[n1, x], n2);
-    rb.output("o0", &[n2]);
-    let nl = rb.finish();
-
-    let sites = enumerate_fault_sites(&nl);
-    let must = workload_must_simulate(&nl, &sites, &fuzz_workload(1, 2, 3), "o0", None).unwrap();
-    assert!(must.iter().all(|&m| m), "cyclic designs must not be pruned");
 }

@@ -4,10 +4,8 @@
 //! (`force_lanes`), drives every workload pattern broadcast across the
 //! lanes, and accumulates a per-lane divergence mask — 64 faulty machines
 //! per word. These tests assert the campaign reports are **identical, site
-//! for site**, to both references: the rebuild-per-site serial
-//! [`oracle`](pe_sim::faults::oracle) and the previous
-//! [`pattern_parallel`](pe_sim::faults::pattern_parallel) site-serial path.
-//! Coverage spans every generated design style, seeded-random netlists with
+//! for site**, to the rebuild-per-site serial
+//! [`oracle`](pe_sim::faults::oracle). Coverage spans every generated design style, seeded-random netlists with
 //! registered feedback, ragged site counts around the 64-lane word boundary
 //! (1/63/64/65), and words whose lanes mix faults on register-driving nets
 //! with ordinary combinational sites.
@@ -34,9 +32,8 @@ use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
 use pe_netlist::{Driver, Netlist};
 use pe_sim::faults::{
-    enumerate_fault_sites, fault_campaign_comb_ppsfp, fault_campaign_comb_ppsfp_wide,
-    fault_campaign_comb_ppsfp_wide_opts, fault_campaign_seq_ppsfp, fault_campaign_seq_ppsfp_wide,
-    fault_campaign_seq_ppsfp_wide_opts, oracle, pattern_parallel, FaultSite,
+    enumerate_fault_sites, fault_campaign_comb, fault_campaign_comb_ppsfp_wide_obs,
+    fault_campaign_seq, fault_campaign_seq_ppsfp_wide_obs, oracle, FaultSite,
 };
 use pe_sim::{BatchMode, BitSlicedSimulator, ConeMode, LaneWidth, Simulator};
 
@@ -95,7 +92,7 @@ fn fuzz_workload(inputs: usize, count: usize, seed: u64) -> Vec<Vec<(String, i64
         .collect()
 }
 
-/// Asserts the PPSFP combinational campaign agrees with both references,
+/// Asserts the PPSFP combinational campaign agrees with the rebuild oracle,
 /// in aggregate and site for site.
 fn assert_comb_agrees(
     nl: &Netlist,
@@ -103,13 +100,11 @@ fn assert_comb_agrees(
     workload: &[Vec<(String, i64)>],
     out: &str,
 ) {
-    let ppsfp = fault_campaign_comb_ppsfp(nl, sites, workload, out).unwrap();
-    let patpar = pattern_parallel::fault_campaign_comb(nl, sites, workload, out).unwrap();
+    let ppsfp = fault_campaign_comb(nl, sites, workload, out).unwrap();
     let slow = oracle::fault_campaign_comb(nl, sites, workload, out).unwrap();
-    assert_eq!(ppsfp, patpar, "PPSFP vs pattern-parallel on {}", nl.name());
     assert_eq!(ppsfp, slow, "PPSFP vs oracle on {}", nl.name());
     for &site in sites {
-        let f = fault_campaign_comb_ppsfp(nl, &[site], workload, out).unwrap();
+        let f = fault_campaign_comb(nl, &[site], workload, out).unwrap();
         let s = oracle::fault_campaign_comb(nl, &[site], workload, out).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle on {}", nl.name());
     }
@@ -123,13 +118,11 @@ fn assert_seq_agrees(
     out: &str,
     cycles: u64,
 ) {
-    let ppsfp = fault_campaign_seq_ppsfp(nl, sites, workload, out, cycles).unwrap();
-    let patpar = pattern_parallel::fault_campaign_seq(nl, sites, workload, out, cycles).unwrap();
+    let ppsfp = fault_campaign_seq(nl, sites, workload, out, cycles).unwrap();
     let slow = oracle::fault_campaign_seq(nl, sites, workload, out, cycles).unwrap();
-    assert_eq!(ppsfp, patpar, "PPSFP vs pattern-parallel on {}", nl.name());
     assert_eq!(ppsfp, slow, "PPSFP vs oracle on {}", nl.name());
     for &site in sites {
-        let f = fault_campaign_seq_ppsfp(nl, &[site], workload, out, cycles).unwrap();
+        let f = fault_campaign_seq(nl, &[site], workload, out, cycles).unwrap();
         let s = oracle::fault_campaign_seq(nl, &[site], workload, out, cycles).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle on {}", nl.name());
     }
@@ -166,13 +159,13 @@ fn ragged_site_counts_agree() {
     let workload = fuzz_workload(5, 10, 21);
     for count in [1usize, 63, 64, 65] {
         let sites = &all[..count];
-        let ppsfp = fault_campaign_seq_ppsfp(&nl, sites, &workload, "o0", 2).unwrap();
+        let ppsfp = fault_campaign_seq(&nl, sites, &workload, "o0", 2).unwrap();
         let slow = oracle::fault_campaign_seq(&nl, sites, &workload, "o0", 2).unwrap();
         assert_eq!(ppsfp, slow, "{count} sites diverged");
         assert_eq!(ppsfp.total, count);
     }
     // Zero sites: an empty report, no simulation.
-    let empty = fault_campaign_seq_ppsfp(&nl, &[], &workload, "o0", 2).unwrap();
+    let empty = fault_campaign_seq(&nl, &[], &workload, "o0", 2).unwrap();
     assert_eq!(empty.total, 0);
     assert_eq!(empty.criticality(), 0.0);
 }
@@ -197,15 +190,18 @@ fn every_width_matches_w1_on_ragged_site_counts() {
     let all = enumerate_fault_sites(&nl);
     assert!(all.len() >= 513, "need 513+ sites for the widest boundary, got {}", all.len());
     let workload = fuzz_workload(6, 6, 91);
+    let seq = |sites: &[FaultSite], width| {
+        let mode = ConeMode::Auto;
+        fault_campaign_seq_ppsfp_wide_obs(&nl, sites, &workload, "o0", 2, width, mode, None)
+            .unwrap()
+            .0
+    };
     for count in WIDTH_BOUNDARY_COUNTS {
         let sites = &all[..count];
-        let w1 =
-            fault_campaign_seq_ppsfp_wide(&nl, sites, &workload, "o0", 2, LaneWidth::W1).unwrap();
+        let w1 = seq(sites, LaneWidth::W1);
         assert_eq!(w1.total, count);
         for width in [LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
-            let wide =
-                fault_campaign_seq_ppsfp_wide(&nl, sites, &workload, "o0", 2, width).unwrap();
-            assert_eq!(wide, w1, "{count} sites diverged at W={width}");
+            assert_eq!(seq(sites, width), w1, "{count} sites diverged at W={width}");
         }
     }
 }
@@ -224,7 +220,16 @@ fn every_width_matches_the_oracle_on_a_full_comb_slab() {
     let workload = fuzz_workload(6, 10, 17);
     let slow = oracle::fault_campaign_comb(&nl, sites, &workload, "o0").unwrap();
     for width in LaneWidth::ALL {
-        let wide = fault_campaign_comb_ppsfp_wide(&nl, sites, &workload, "o0", width).unwrap();
+        let (wide, _) = fault_campaign_comb_ppsfp_wide_obs(
+            &nl,
+            sites,
+            &workload,
+            "o0",
+            width,
+            ConeMode::Auto,
+            None,
+        )
+        .unwrap();
         assert_eq!(wide, slow, "verdicts diverged from the oracle at W={width}");
     }
 }
@@ -285,7 +290,7 @@ fn mlp_style_agrees() {
             q.quantize_input(x).iter().enumerate().map(|(i, &v)| (format!("x{i}"), v)).collect()
         })
         .collect();
-    let ppsfp = fault_campaign_comb_ppsfp(&nl, &sites, &workload, "class").unwrap();
+    let ppsfp = fault_campaign_comb(&nl, &sites, &workload, "class").unwrap();
     let slow = oracle::fault_campaign_comb(&nl, &sites, &workload, "class").unwrap();
     assert_eq!(ppsfp, slow);
 }
@@ -299,10 +304,8 @@ fn sequential_svm_style_agrees() {
     let sites: Vec<FaultSite> = enumerate_fault_sites(&nl).into_iter().step_by(97).collect();
     let workload = svm_workload(&q, &test, 8);
     let n = q.num_classes() as u64;
-    let ppsfp = fault_campaign_seq_ppsfp(&nl, &sites, &workload, "class", n).unwrap();
-    let patpar = pattern_parallel::fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
+    let ppsfp = fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
     let slow = oracle::fault_campaign_seq(&nl, &sites, &workload, "class", n).unwrap();
-    assert_eq!(ppsfp, patpar);
     assert_eq!(ppsfp, slow);
 }
 
@@ -327,11 +330,11 @@ fn cone_scheduled_campaigns_agree_with_references_at_every_width() {
     for width in LaneWidth::ALL {
         for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
             let (comb, cs) =
-                fault_campaign_comb_ppsfp_wide_opts(&cnl, &csites, &cwl, "o0", width, mode)
+                fault_campaign_comb_ppsfp_wide_obs(&cnl, &csites, &cwl, "o0", width, mode, None)
                     .unwrap();
             assert_eq!(comb, coracle, "comb {mode:?} at W={width} diverged from the oracle");
             let (seq, ss) =
-                fault_campaign_seq_ppsfp_wide_opts(&snl, &ssites, &swl, "o1", 3, width, mode)
+                fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &swl, "o1", 3, width, mode, None)
                     .unwrap();
             assert_eq!(seq, soracle, "seq {mode:?} at W={width} diverged from the oracle");
             match mode {
@@ -359,29 +362,15 @@ fn cone_scheduled_ragged_site_counts_agree() {
     let all = enumerate_fault_sites(&nl);
     assert!(all.len() >= 513, "need 513+ sites, got {}", all.len());
     let workload = fuzz_workload(6, 6, 91);
+    let seq = |sites: &[FaultSite], width, mode| {
+        fault_campaign_seq_ppsfp_wide_obs(&nl, sites, &workload, "o0", 2, width, mode, None)
+            .unwrap()
+    };
     for count in [1usize, 63, 64, 65, 511, 513] {
         let sites = &all[..count];
         let width = if count > 64 { LaneWidth::W8 } else { LaneWidth::W1 };
-        let (cone, stats) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            sites,
-            &workload,
-            "o0",
-            2,
-            width,
-            ConeMode::Always,
-        )
-        .unwrap();
-        let (dense, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            sites,
-            &workload,
-            "o0",
-            2,
-            width,
-            ConeMode::Never,
-        )
-        .unwrap();
+        let (cone, stats) = seq(sites, width, ConeMode::Always);
+        let (dense, _) = seq(sites, width, ConeMode::Never);
         assert_eq!(cone, dense, "{count} sites diverged under cone scheduling");
         assert_eq!(cone.total, count);
         assert_eq!(stats.cone_chunks, stats.chunks, "Always must run every chunk through cones");
@@ -405,28 +394,14 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
     });
     assert!(sites.len() > 64, "the first word must mix register and comb sites");
     let workload = fuzz_workload(5, 10, 33);
-    let (whole, _) = fault_campaign_seq_ppsfp_wide_opts(
-        &nl,
-        &sites,
-        &workload,
-        "o2",
-        2,
-        LaneWidth::W1,
-        ConeMode::Always,
-    )
-    .unwrap();
+    let cone = |sites: &[FaultSite]| {
+        let (w1, mode) = (LaneWidth::W1, ConeMode::Always);
+        fault_campaign_seq_ppsfp_wide_obs(&nl, sites, &workload, "o2", 2, w1, mode, None).unwrap()
+    };
+    let (whole, _) = cone(&sites);
     assert_eq!(whole, oracle::fault_campaign_seq(&nl, &sites, &workload, "o2", 2).unwrap());
     for &site in &sites {
-        let (f, _) = fault_campaign_seq_ppsfp_wide_opts(
-            &nl,
-            &[site],
-            &workload,
-            "o2",
-            2,
-            LaneWidth::W1,
-            ConeMode::Always,
-        )
-        .unwrap();
+        let (f, _) = cone(&[site]);
         let s = oracle::fault_campaign_seq(&nl, &[site], &workload, "o2", 2).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle under cone scheduling");
     }
@@ -436,7 +411,7 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
 
 #[test]
 fn ppsfp_chunks_do_not_contaminate_each_other() {
-    // One multi-chunk campaign must agree with the site-serial reference
+    // One multi-chunk campaign must agree with the rebuild-per-site oracle
     // under every cone mode at every width: the forced lanes
     // *and* the compiled pinned bits of one chunk may not leak into the
     // next. Sites are ordered so every chunk re-pins, at the other
@@ -448,9 +423,8 @@ fn ppsfp_chunks_do_not_contaminate_each_other() {
     let nl = random_netlist(&spec, 113);
     let all = enumerate_fault_sites(&nl);
     let workload = fuzz_workload(6, 8, 55);
-    // The site-serial reference: one fault per run, pinned in every lane.
-    let want =
-        pattern_parallel::fault_campaign_seq(&nl, &all, &workload, "o0", 2).unwrap().critical;
+    // The rebuild-per-site reference: one fresh scalar simulator per site.
+    let want = oracle::fault_campaign_seq(&nl, &all, &workload, "o0", 2).unwrap().critical;
     for width in LaneWidth::ALL {
         // `all` lists each net's stuck-at-0 then stuck-at-1 site, so a run
         // of 2*lanes sites covers `lanes` nets: one chunk of their
@@ -464,9 +438,10 @@ fn ppsfp_chunks_do_not_contaminate_each_other() {
         let sites: Vec<FaultSite> = order.iter().map(|&i| all[i]).collect();
         assert!(sites.len() > 2 * lanes, "need at least three chunks at W={width}");
         for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
-            let (got, stats) =
-                fault_campaign_seq_ppsfp_wide_opts(&nl, &sites, &workload, "o0", 2, width, mode)
-                    .unwrap();
+            let (got, stats) = fault_campaign_seq_ppsfp_wide_obs(
+                &nl, &sites, &workload, "o0", 2, width, mode, None,
+            )
+            .unwrap();
             assert_eq!(got.critical, want, "{mode:?} at W={width}: chunks contaminated each other");
             assert_eq!(stats.chunks, sites.len().div_ceil(lanes));
         }
