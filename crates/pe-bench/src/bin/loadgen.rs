@@ -8,8 +8,9 @@
 //!
 //! * **Ratio** (`--ratio`, part of the default run): closed-loop saturation
 //!   throughput of the lane-coalescing service (up to `64 * W` requests per
-//!   sweep; `--width` forces the slab width) versus a
-//!   one-request-per-`run_batch` service (`batch_max = 1`) — the measured
+//!   sweep; `--width` sets the slab width cap) versus a
+//!   one-request-per-`run_batch` service (`batch_max = 1`, one 64-lane
+//!   sweep per request) — the measured
 //!   payoff of batch coalescing. `--expect-ratio R` turns the measurement
 //!   into a gate (exit 1 below `R`), and the measured figures land in
 //!   `BENCH_serve.json` at the workspace root. The main saturation run

@@ -44,7 +44,9 @@ pub struct RunOptions {
     /// Slab width for the bit-sliced engine: how many 64-lane words each
     /// net's packed value spans (64–512 vectors per topological sweep).
     /// `None` picks a per-model default from the netlist size
-    /// ([`LaneWidth::auto_for_netlist`]); `Some` forces a width.
+    /// ([`LaneWidth::auto_for_netlist`]); `Some` sets it. The width is the
+    /// batch's chunk size and a cap: a batch sweeps the narrowest slab that
+    /// holds one chunk ([`LaneWidth::for_batch`]).
     pub lane_width: Option<LaneWidth>,
     /// Event-driven sweeps for the bit-sliced engine: only re-evaluate cells
     /// whose input slabs changed ([`pe_sim::Simulator::set_event_driven`]).

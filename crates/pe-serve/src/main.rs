@@ -35,8 +35,9 @@ fn usage() -> ! {
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
          \x20               [--weight key=W ...] [--max-conns N]\n\
          \x20               [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]\n\
-         --width forces the bit-sliced slab width in words (64-512 lanes per\n\
-         sweep; lane counts accepted); default: per-model auto\n\
+         --width caps the bit-sliced slab width in words (64-512 lanes; lane\n\
+         counts accepted) and sets the chunk size of larger batches; each\n\
+         batch sweeps the narrowest slab that holds it; default: per-model auto\n\
          --events enables event-driven sweeps (dirty-cell worklist; identical\n\
          predictions, fewer cell evaluations on low-activity batches)\n\
          --weight sets a model's weighted-fair admission share (repeatable;\n\

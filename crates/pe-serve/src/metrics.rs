@@ -77,7 +77,8 @@ impl ModelMetrics {
     }
 
     /// Accounts one executed batch. `lane_words` is the slab width (in
-    /// words) the gate-level simulator ran at — 0 for integer-only batches,
+    /// words) the gate-level simulator swept this batch at
+    /// ([`pe_sim::LaneWidth::for_batch`]) — 0 for integer-only batches,
     /// which do no sweeps. Sweep occupancy is accounted against the
     /// **effective** lane capacity `64 * lane_words`, not a hardcoded 64.
     pub(crate) fn on_batch(
@@ -163,7 +164,9 @@ pub struct ModelMetricsSnapshot {
     pub gate_cycles: u64,
     /// Mean fraction of `batch_max` a batch actually filled.
     pub batch_fill: f64,
-    /// Slab width (words) of this model's most recent gate-level batch.
+    /// Slab width (words) this model's most recent gate-level batch swept
+    /// at — the narrowest holding that batch, up to the configured cap
+    /// (the `pe_lane_width_words` series).
     pub lane_width: u64,
     /// Bit-sliced sweeps executed.
     pub sweeps: u64,
@@ -359,7 +362,10 @@ impl Metrics {
     /// per-model series carry the shard counters, the queue-wait /
     /// service-time / latency quantiles, and the simulator profile series
     /// (phase nanoseconds, sweeps, cell evaluations, event-driven work,
-    /// cone-campaign counters).
+    /// cone-campaign counters). `pe_lane_width_words` is a level, not a
+    /// counter: the slab width (in 64-lane words) the model's most recent
+    /// gate-level batch swept at, which follows the batch size up to the
+    /// configured cap ([`pe_sim::LaneWidth::for_batch`]).
     #[must_use]
     pub fn prometheus(&self, batch_max: usize, queue_depth: usize) -> String {
         use std::fmt::Write as _;

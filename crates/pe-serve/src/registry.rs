@@ -146,7 +146,9 @@ pub struct ModelEntry {
     /// `run_batch` cycles per vector: the class count for the sequential
     /// style, 0 (combinational settle) for the parallel styles.
     pub cycles_per_vector: u64,
-    /// The bit-sliced slab width batches over this model run at: the
+    /// The bit-sliced slab width cap (and chunk size) of batches over this
+    /// model — each batch sweeps the narrowest slab that holds it, up to
+    /// this ([`LaneWidth::for_batch`]): the
     /// registry's [`RunOptions::lane_width`] override when set, else the
     /// per-model default ([`LaneWidth::auto_for_netlist`] — printed
     /// classifiers are small enough that this is almost always the full

@@ -2,10 +2,13 @@
 //!
 //! Requests are submitted per [`ModelKey`] and coalesced into lanes of one
 //! word-parallel [`run_batch`](pe_sim::Simulator::run_batch) call: the
-//! bit-sliced engine evaluates up to `64 * W` requests (64–512, the slab
-//! width `W` per-model auto-picked or forced via
-//! [`ServiceConfig::lane_width`]) with `W` bitwise ops per gate, which is
-//! the entire economic argument for batching. A batch is
+//! bit-sliced engine evaluates up to `64 * W` requests per sweep with `W`
+//! bitwise ops per gate, which is the entire economic argument for
+//! batching. The slab width `W` (64–512 lanes) is picked per batch as the
+//! narrowest that holds it ([`LaneWidth::for_batch`]), under a per-model cap
+//! — auto-picked, or set via [`ServiceConfig::lane_width`] — that is also
+//! the chunk size of larger batches; the default 64-request batch therefore
+//! sweeps 64 lanes even where the cap is 512. A batch is
 //! flushed when it reaches [`ServiceConfig::batch_max`] lanes **or** when
 //! its oldest request has waited [`ServiceConfig::batch_deadline`] — ragged
 //! batches still flush promptly at low load, full batches flush immediately
@@ -99,15 +102,16 @@ pub struct ServiceConfig {
     /// Which path answers requests.
     pub mode: ServeMode,
     /// Requests per `run_batch` call, clamped to `1..=1024`. Values above
-    /// the slab's `64 * W` lane capacity run as several sweeps inside
-    /// **one** call, amortizing simulator construction further; 1
-    /// degenerates to one-request-per-`run_batch` serving (the loadgen
-    /// baseline). At the default 8-word slab a batch of 512 is a single
-    /// sweep — no splitting.
+    /// the slab cap's `64 * W` lanes run as several sweeps inside **one**
+    /// call, amortizing simulator construction further; 1 degenerates to
+    /// one-request-per-`run_batch` serving (the loadgen baseline). Under an
+    /// 8-word cap a batch of 512 is a single sweep — no splitting.
     pub batch_max: usize,
-    /// Bit-sliced slab width override. `None` (the default) uses each
-    /// model's auto-picked width ([`ModelEntry::lane_width`]); `Some`
-    /// forces every gate-level batch to this width.
+    /// Bit-sliced slab width **cap** override. `None` (the default) uses
+    /// each model's auto-picked width ([`ModelEntry::lane_width`]). Either
+    /// way the value is a cap and the chunk size, not a forced width: each
+    /// gate-level batch sweeps at the narrowest slab that holds it, up to
+    /// this cap ([`LaneWidth::for_batch`]).
     ///
     /// [`ModelEntry::lane_width`]: crate::registry::ModelEntry::lane_width
     pub lane_width: Option<LaneWidth>,
@@ -733,7 +737,9 @@ fn run_one_batch(
                 }
                 WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
             });
-            let lane_words = warm.sim.lane_width().words();
+            // The slab this batch actually sweeps; the configured width is
+            // only the cap (chunk size).
+            let lane_words = LaneWidth::for_batch(vectors.len(), warm.sim.lane_width()).words();
             setup_end = Instant::now();
             let result =
                 warm.sim.run_batch(&warm.entry.netlist, &vectors, entry.cycles_per_vector, "class");
@@ -1133,5 +1139,27 @@ mod tests {
         assert!(m.batches <= 2, "300 requests at batch_max 512, got {} batches", m.batches);
         assert!(m.sweeps <= 2, "one 512-lane sweep should cover 300 lanes, got {}", m.sweeps);
         assert!(m.lane_fill > 0.5, "lane_fill {} must be against 512, not 64", m.lane_fill);
+    }
+
+    #[test]
+    fn default_batches_sweep_the_narrowest_slab_that_holds_them() {
+        // The model's auto width is only the cap: a full default batch of 64
+        // requests sweeps one 64-lane word, not the cap's 512 lanes, and the
+        // lane accounting reports the slab actually swept.
+        let registry = test_registry();
+        let key = cardio_seq();
+        let entry = registry.get(key);
+        assert_eq!(entry.lane_width, LaneWidth::W8, "cardio:seq auto-picks an 8-word cap");
+        let xs = samples(&registry, key, 2 * LANES);
+        let svc = Service::start(Arc::clone(&registry), ServiceConfig::default());
+        let want: Vec<_> =
+            xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
+        assert_eq!(svc.classify_batch(key, &xs), want);
+        let m = svc.metrics();
+        assert_eq!(m.batches, 2, "two full 64-request batches");
+        assert_eq!(m.sweeps, 2);
+        assert_eq!(m.lane_width, 1, "a 64-request batch sweeps one word");
+        assert_eq!(m.lane_fill, 1.0);
+        svc.shutdown();
     }
 }

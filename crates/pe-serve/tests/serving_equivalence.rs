@@ -18,7 +18,7 @@ use pe_core::engine::NullSink;
 use pe_core::pipeline::RunOptions;
 use pe_obs::HistSnapshot;
 use pe_serve::{ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
-use pe_sim::LaneWidth;
+use pe_sim::{BatchMode, LaneWidth};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -258,12 +258,17 @@ fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
     // `pe_sim::warm` module docs for the contract). The event-driven warm
     // engine must also do strictly less work: fewer cell evaluations than
     // its dense twin, which is the whole point of carrying dirty state.
+    //
+    // `width` is the cap: each batch sweeps the narrowest slab holding it,
+    // so the sizes below switch the warm engines' slab width up and down
+    // mid-stream. A long-lived scalar reference chunking at the cap pins
+    // outputs, cycles and toggle counters across every switch.
     let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
     let key = ModelKey::parse("cardio:seq").unwrap();
     let entry = registry.get(key);
-    // Ragged batch sizes around the word boundary, as the batcher coalesces
-    // them: repeated/near-constant rows, quantized once up front.
-    let batches: Vec<Vec<Vec<i64>>> = [64usize, 1, 63, 65, 64, 32]
+    // Ragged batch sizes around the word and slab boundaries, as the batcher
+    // coalesces them: repeated/near-constant rows, quantized once up front.
+    let batches: Vec<Vec<Vec<i64>>> = [64usize, 1, 63, 65, 64, 32, 129, 257, 300, 513]
         .iter()
         .map(|&n| {
             low_activity_rows(&entry, n, 17).iter().map(|x| entry.quantize_input(x)).collect()
@@ -279,8 +284,14 @@ fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
             sim.warm()
         });
         let [ref mut warm_ev, ref mut warm_dense] = warm_pair;
+        let mut scalar = entry.simulator();
+        scalar.set_batch_mode(BatchMode::Scalar);
+        scalar.set_lane_width(width);
+        scalar.enable_activity();
         for (b, vectors) in batches.iter().enumerate() {
             let got = warm_ev.run_batch(&entry.netlist, vectors, entry.cycles_per_vector, "class");
+            let want = scalar.run_batch(vectors, entry.cycles_per_vector, "class");
+            assert_eq!(got, want, "{width:?} batch {b}: warm event-driven diverged from scalar");
             let dense =
                 warm_dense.run_batch(&entry.netlist, vectors, entry.cycles_per_vector, "class");
             assert_eq!(
@@ -308,8 +319,14 @@ fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
                 warm_dense.activity(),
                 "{width:?} batch {b}: warm toggle counters diverged"
             );
+            assert_eq!(
+                warm_ev.activity(),
+                scalar.activity(),
+                "{width:?} batch {b}: warm toggle counters diverged from scalar"
+            );
         }
         assert_eq!(warm_ev.batches(), batches.len() as u64);
+        assert_eq!(warm_ev.cycles(), scalar.cycles(), "{width:?}");
         assert!(
             warm_ev.cell_evals() < warm_dense.cell_evals(),
             "{width:?}: event-driven carry-over must skip work ({} vs {} cell evals)",

@@ -53,9 +53,9 @@
 //!   tick `c` times in lockstep (packed register update via
 //!   [`pe_netlist::CellKind::next_state_packed_wide`]), and the last active
 //!   lane's final values/state become the carry into the next chunk. The
-//!   chunk size `64*W` is part of this contract: the scalar engine
-//!   implements the identical chunked-streaming semantics at the *same*
-//!   configured [`LaneWidth`]
+//!   chunk size — `64*W` lanes of the *configured* [`LaneWidth`] — is part
+//!   of this contract: the scalar engine implements the identical
+//!   chunked-streaming semantics at the *same* configured [`LaneWidth`]
 //!   ([`Simulator::run_batch`](crate::Simulator::run_batch) with
 //!   [`BatchMode::Scalar`](crate::sim::BatchMode)), which is what makes
 //!   bit-identity — outputs, per-net toggle counts, carried register state —
@@ -63,7 +63,16 @@
 //!   *outputs* are additionally width-invariant whenever each
 //!   classification's result depends only on its own input vector (true for
 //!   the paper's classifier datapaths); sequential *toggle counts* are
-//!   defined per width because chunk boundaries move.
+//!   defined per configured width because chunk boundaries move.
+//!
+//! The configured width is a cap, not a forced slab: the batch drivers
+//! ([`Simulator::run_batch`](crate::Simulator::run_batch) and
+//! [`WarmSimulator::run_batch`](crate::WarmSimulator::run_batch)) sweep each
+//! batch at [`LaneWidth::for_batch`], the narrowest slab that holds one
+//! chunk. A batch of at most `64*W` vectors is one chunk at either width and
+//! a larger one runs at the cap, so chunk boundaries never move and every
+//! result above is unchanged — a 64-vector batch under a W8 cap simply
+//! stops evaluating 448 lanes nobody asked for.
 //!
 //! Fault campaigns reuse one `BitSlicedSimulator` across every fault site by
 //! pinning nets with [`BitSlicedSimulator::force_net`] and releasing them
@@ -157,6 +166,17 @@ impl LaneWidth {
     #[must_use]
     pub fn for_sites(n: usize) -> Self {
         Self::ALL.into_iter().find(|w| n <= w.lanes()).unwrap_or(LaneWidth::W8)
+    }
+
+    /// The slab width a batch of `n` vectors sweeps at under the configured
+    /// width `cap`: the narrowest whose `64 * W` lanes cover
+    /// `min(n, cap.lanes())`. `cap` stays the chunk size, so chunk
+    /// boundaries — and with them every output, carried state and toggle
+    /// count — are the same as sweeping at `cap`; a batch that fits one
+    /// `cap` chunk just stops evaluating lanes nobody asked for.
+    #[must_use]
+    pub fn for_batch(n: usize, cap: LaneWidth) -> Self {
+        Self::for_sites(n.min(cap.lanes()))
     }
 
     /// Netlist-size heuristic for batch classification: the widest slab
@@ -363,6 +383,52 @@ impl<const W: usize> DetachedSlab<W> {
             "activity tracking not enabled; call enable_activity() first"
         );
         self.toggles.report(self.cycles)
+    }
+
+    /// Re-packs this state at slab width `V`. Between batches every slab is
+    /// a broadcast of the carried serial value, so re-broadcasting it over
+    /// `V` words is exact; the program, op map, event worklist (its
+    /// clean/dirty flags stay valid: a clean op's broadcast output is its
+    /// evaluation of broadcast inputs at any width), toggle counters and
+    /// cycle/eval counts move across unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slab is not a broadcast — e.g. state detached with
+    /// per-lane pins from [`BitSlicedSimulator::force_lanes`] still held.
+    #[must_use]
+    pub fn rewidth<const V: usize>(self) -> DetachedSlab<V> {
+        fn rebroadcast<const W: usize, const V: usize>(slabs: Vec<[u64; W]>) -> Vec<[u64; V]> {
+            slabs
+                .into_iter()
+                .map(|s| {
+                    assert!(
+                        (s[0] == 0 || s[0] == !0) && s.iter().all(|&w| w == s[0]),
+                        "only broadcast slabs can change width"
+                    );
+                    [s[0]; V]
+                })
+                .collect()
+        }
+        DetachedSlab {
+            num_nets: self.num_nets,
+            num_cells: self.num_cells,
+            order: self.order,
+            regs: self.regs,
+            prog: self.prog,
+            op_of_net: self.op_of_net,
+            words: rebroadcast(self.words),
+            state: rebroadcast(self.state),
+            next_scratch: vec![[0; V]; self.next_scratch.len()],
+            input_ports: self.input_ports,
+            output_ports: self.output_ports,
+            toggles: self.toggles,
+            cycles: self.cycles,
+            forced_mask: rebroadcast(self.forced_mask),
+            forced_vals: rebroadcast(self.forced_vals),
+            cell_evals: self.cell_evals,
+            events: self.events,
+        }
     }
 }
 
@@ -1887,6 +1953,29 @@ mod tests {
         assert_eq!(LaneWidth::for_sites(10_000), LaneWidth::W8);
         // A tiny netlist always earns the full cache-line slab.
         assert_eq!(LaneWidth::auto_for_netlist(&full_adder_x()), LaneWidth::W8);
+    }
+
+    #[test]
+    fn batch_width_is_the_narrowest_that_keeps_the_cap_chunking() {
+        // The per-batch slab rule: sweeping at `for_batch(n, cap)` must cut
+        // the batch into exactly as many chunks as `cap` would (so chunk
+        // boundaries, and with them sequential state carry and toggles,
+        // never move), and no narrower width may manage that.
+        let chunks = |n: usize, w: LaneWidth| n.div_ceil(w.lanes());
+        for cap in LaneWidth::ALL {
+            for n in 1..=1100 {
+                let w = LaneWidth::for_batch(n, cap);
+                assert!(w.words() <= cap.words(), "n={n} cap={cap}: {w} is wider than the cap");
+                assert_eq!(chunks(n, w), chunks(n, cap), "n={n} cap={cap}: {w} moves chunks");
+                for narrower in LaneWidth::ALL.into_iter().filter(|v| v.words() < w.words()) {
+                    assert_ne!(
+                        chunks(n, narrower),
+                        chunks(n, cap),
+                        "n={n} cap={cap}: {narrower} would also do, {w} is not the narrowest"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

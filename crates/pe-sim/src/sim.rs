@@ -248,11 +248,13 @@ impl<'nl> Simulator<'nl> {
         self.batch_mode
     }
 
-    /// Selects the slab width of [`Simulator::run_batch`]: `64 * W` vectors
+    /// Selects the chunk size of [`Simulator::run_batch`]: `64 * W` vectors
     /// per chunk (see [`LaneWidth`]). The width is part of the sequential
     /// chunked-streaming contract, so it applies to *both* engines — the
     /// scalar reference chunks by the same effective lane count, keeping
-    /// scalar/bit-sliced bit-identity at every width. The default is
+    /// scalar/bit-sliced bit-identity at every width. It is a cap on the
+    /// slab, not a forced slab: a batch that fits one chunk sweeps at the
+    /// narrowest width holding it ([`LaneWidth::for_batch`]). The default is
     /// [`LaneWidth::W1`] (the original 64-lane engine).
     pub fn set_lane_width(&mut self, width: LaneWidth) {
         self.lane_width = width;
@@ -550,8 +552,9 @@ impl<'nl> Simulator<'nl> {
     /// [`Simulator::set_input`]/[`Simulator::tick`] API instead of a batch.
     /// Both [`BatchMode`] engines implement
     /// this contract bit-identically (outputs, per-net toggles, carried
-    /// state); the bit-sliced engine evaluates the 64 lanes of a chunk in
-    /// parallel, one bitwise op per gate (see [`crate::bitslice`]).
+    /// state); the bit-sliced engine evaluates the lanes of a chunk in
+    /// parallel, one bitwise op per gate, on the narrowest slab that holds
+    /// the chunk ([`LaneWidth::for_batch`]; see [`crate::bitslice`]).
     ///
     /// # Panics
     ///
@@ -615,14 +618,15 @@ impl<'nl> Simulator<'nl> {
     /// [`BitSlicedSimulator`] with the current values/state (reusing this
     /// simulator's schedule), runs the batch `64 * W` lanes at a time, and
     /// folds the carried state, toggle counts and cycles back in. The
-    /// configured [`LaneWidth`] picks which monomorphized slab engine runs.
+    /// monomorphized slab engine that runs is the narrowest that keeps the
+    /// configured [`LaneWidth`]'s chunking ([`LaneWidth::for_batch`]).
     fn run_batch_sliced(
         &mut self,
         vectors: &[Vec<i64>],
         cycles_per_vector: u64,
         out_port: &str,
     ) -> BatchResult {
-        match self.lane_width {
+        match LaneWidth::for_batch(vectors.len(), self.lane_width) {
             LaneWidth::W1 => self.run_batch_sliced_w::<1>(vectors, cycles_per_vector, out_port),
             LaneWidth::W2 => self.run_batch_sliced_w::<2>(vectors, cycles_per_vector, out_port),
             LaneWidth::W4 => self.run_batch_sliced_w::<4>(vectors, cycles_per_vector, out_port),

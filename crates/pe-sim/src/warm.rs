@@ -28,12 +28,23 @@
 //!   [`Simulator`](crate::Simulator)),
 //! * forced lanes, if any.
 //!
+//! # Slab width per batch
+//!
+//! The seeding simulator's [`LaneWidth`] is the chunk size (the cap). Each
+//! batch sweeps at [`LaneWidth::for_batch`] — the narrowest slab that holds
+//! one chunk — so a 64-request batch under a W8 cap evaluates 64 lanes, not
+//! 512. When that width differs from the previous batch's, the detached
+//! state is re-packed with [`DetachedSlab::rewidth`]: exact, because between
+//! batches every slab is a broadcast of the carried serial value. Chunk
+//! boundaries never move (a batch that fits one cap chunk is one chunk at
+//! either width), so nothing below depends on the swept width.
+//!
 //! # Equivalence contract
 //!
 //! A warm simulator fed a stream of batches is bit-identical — outputs,
 //! carried state, *and* toggle counters — to one long-lived dense
 //! [`Simulator`](crate::Simulator) fed the same batches at the same
-//! [`LaneWidth`]: the slabs
+//! configured [`LaneWidth`]: the slabs
 //! between batches are broadcasts of the carried serial state either way,
 //! and the event-driven worklist's exactness invariant (see
 //! [`BitSlicedSimulator::set_event_driven`]) makes the skip lossless.
@@ -63,8 +74,8 @@ struct Seed {
     frozen: Vec<bool>,
 }
 
-/// The width-monomorphized detached engine (fixed at construction by the
-/// seeding simulator's [`LaneWidth`]).
+/// The width-monomorphized detached engine, at the width of the most
+/// recent batch ([`LaneWidth::for_batch`] under the configured cap).
 #[derive(Debug)]
 enum WarmSlab {
     W1(DetachedSlab<1>),
@@ -98,6 +109,15 @@ impl WarmSlab {
             WarmSlab::W2(s) => s.activity(),
             WarmSlab::W4(s) => s.activity(),
             WarmSlab::W8(s) => s.activity(),
+        }
+    }
+
+    fn rewidth<const V: usize>(self) -> DetachedSlab<V> {
+        match self {
+            WarmSlab::W1(s) => s.rewidth(),
+            WarmSlab::W2(s) => s.rewidth(),
+            WarmSlab::W4(s) => s.rewidth(),
+            WarmSlab::W8(s) => s.rewidth(),
         }
     }
 }
@@ -169,7 +189,7 @@ impl WarmSimulator {
             ($W:literal, $variant:ident) => {{
                 let mut sim: BitSlicedSimulator<'_, $W> = match self.slab.take() {
                     Some(WarmSlab::$variant(slab)) => BitSlicedSimulator::reattach(nl, slab),
-                    Some(_) => unreachable!("slab width is fixed at construction"),
+                    Some(other) => BitSlicedSimulator::reattach(nl, other.rewidth()),
                     None => {
                         let seed = self.seed.take().expect("no slab means the seed is intact");
                         let mut sim = BitSlicedSimulator::<'_, $W>::from_parts(
@@ -197,7 +217,7 @@ impl WarmSimulator {
                 result
             }};
         }
-        match self.lane_width {
+        match LaneWidth::for_batch(vectors.len(), self.lane_width) {
             LaneWidth::W1 => run!(1, W1),
             LaneWidth::W2 => run!(2, W2),
             LaneWidth::W4 => run!(4, W4),
@@ -211,7 +231,9 @@ impl WarmSimulator {
         self.profile = profile;
     }
 
-    /// The slab width every batch runs at (fixed at construction).
+    /// The configured width (fixed at construction): the chunk size and the
+    /// widest slab a batch runs at. Each batch sweeps at
+    /// [`LaneWidth::for_batch`] of its size under this cap.
     #[must_use]
     pub fn lane_width(&self) -> LaneWidth {
         self.lane_width

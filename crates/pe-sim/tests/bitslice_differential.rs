@@ -11,10 +11,12 @@
 //!
 //! The engine is width-generic (`[u64; W]` slabs, 64–512 lanes per sweep),
 //! so the suite additionally sweeps every [`LaneWidth`] with batch sizes
-//! straddling every slab boundary (64W ± 1), and pins cross-width identity
-//! on combinational circuits. Setting `PE_LANE_WIDTH=1|2|4|8` re-runs every
-//! scalar-vs-sliced test at that forced width (the CI non-default-width
-//! pass uses 4).
+//! straddling every slab boundary (64W ± 1) — which, since each batch
+//! sweeps the narrowest slab holding one chunk of the configured width,
+//! also runs every narrower slab under each cap — and pins cross-width
+//! identity on combinational circuits. Setting `PE_LANE_WIDTH=1|2|4|8`
+//! re-runs every scalar-vs-sliced test at that configured width (the chunk
+//! size; the CI non-default-width pass uses 4).
 //!
 //! CI runs this suite in both debug and release: release builds strip the
 //! debug assertions that would otherwise mask wrapping/shift mistakes in the
@@ -28,8 +30,11 @@ use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
 use pe_netlist::Netlist;
+use pe_obs::{SimBatch, SimProfile};
 use pe_sim::faults::{enumerate_fault_sites, fault_campaign_comb, fault_campaign_seq, oracle};
 use pe_sim::{BatchMode, BatchResult, LaneWidth, Simulator};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 // ---- model / workload helpers -------------------------------------------
 
@@ -67,16 +72,36 @@ fn env_width() -> Option<LaneWidth> {
     std::env::var("PE_LANE_WIDTH").ok().as_deref().and_then(LaneWidth::parse)
 }
 
+/// Records the slab width (`SimBatch::lane_words`) of every bit-sliced
+/// batch it is installed on.
+#[derive(Debug, Default)]
+struct SweptWidths(Mutex<BTreeSet<usize>>);
+
+impl SimProfile for SweptWidths {
+    fn on_batch(&self, batch: &SimBatch) {
+        self.0.lock().unwrap().insert(batch.lane_words);
+    }
+}
+
+impl SweptWidths {
+    /// Every width swept since the last call, narrowest first.
+    fn take(&self) -> Vec<usize> {
+        std::mem::take(&mut *self.0.lock().unwrap()).into_iter().collect()
+    }
+}
+
 /// Runs the same batch through both engines on fresh simulators — at
 /// `width` if given (both sides, since the sequential chunk size is part of
 /// the batch contract), else at the `PE_LANE_WIDTH`/default width — and
-/// asserts full bit identity; returns the (shared) result.
+/// asserts full bit identity; returns the (shared) result. `profile`, if
+/// given, is installed on the bit-sliced side.
 fn assert_engines_agree_at(
     nl: &Netlist,
     vectors: &[Vec<i64>],
     cycles_per_vector: u64,
     out_port: &str,
     width: Option<LaneWidth>,
+    profile: Option<Arc<dyn SimProfile>>,
 ) -> BatchResult {
     let width = width.or_else(env_width);
     let mut reference = Simulator::new(nl).unwrap();
@@ -93,6 +118,7 @@ fn assert_engines_agree_at(
         fast.set_lane_width(w);
     }
     fast.enable_activity();
+    fast.set_profile(profile);
     let got = fast.run_batch(vectors, cycles_per_vector, out_port);
 
     assert_eq!(got.outputs, want.outputs, "outputs diverged on {}", nl.name());
@@ -120,7 +146,7 @@ fn assert_engines_agree(
     cycles_per_vector: u64,
     out_port: &str,
 ) -> BatchResult {
-    assert_engines_agree_at(nl, vectors, cycles_per_vector, out_port, None)
+    assert_engines_agree_at(nl, vectors, cycles_per_vector, out_port, None, None)
 }
 
 // ---- design styles -------------------------------------------------------
@@ -286,30 +312,43 @@ fn sequential_state_carries_across_chunks() {
 // ---- lane-width sweep ----------------------------------------------------
 
 /// Batch sizes straddling every slab boundary: 64W ± 1 and the exact
-/// boundary for W = 1, 2, 4, 8.
+/// boundary for W = 1, 2, 4, 8. Under a configured width (the cap, which
+/// sets the chunk size) each batch sweeps the narrowest slab holding one
+/// chunk, so the sizes up to the cap cover every narrower slab too.
 const WIDTH_BOUNDARY_SIZES: [usize; 12] = [63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513];
+
+/// Every slab width up to `cap`, narrowest first, in words.
+fn widths_up_to(cap: LaneWidth) -> Vec<usize> {
+    LaneWidth::ALL.iter().map(|w| w.words()).filter(|&w| w <= cap.words()).collect()
+}
 
 #[test]
 fn every_width_agrees_on_ragged_combinational_batches() {
     let nl = random_netlist(&fuzz_spec(0), 131);
+    let swept = Arc::new(SweptWidths::default());
     for width in LaneWidth::ALL {
         for size in WIDTH_BOUNDARY_SIZES {
             let vectors = fuzz_vectors(5, size, size as u64 ^ 0x51AB);
-            let r = assert_engines_agree_at(&nl, &vectors, 0, "o0", Some(width));
+            let profile: Arc<dyn SimProfile> = swept.clone();
+            let r = assert_engines_agree_at(&nl, &vectors, 0, "o0", Some(width), Some(profile));
             assert_eq!(r.outputs.len(), size, "W={width} size={size}");
         }
+        assert_eq!(swept.take(), widths_up_to(width), "slabs swept under cap W={width}");
     }
 }
 
 #[test]
 fn every_width_agrees_on_ragged_sequential_batches() {
     let nl = random_netlist(&fuzz_spec(3), 137);
+    let swept = Arc::new(SweptWidths::default());
     for width in LaneWidth::ALL {
         for size in WIDTH_BOUNDARY_SIZES {
             let vectors = fuzz_vectors(5, size, size as u64 ^ 0xC0DE);
-            let r = assert_engines_agree_at(&nl, &vectors, 2, "o1", Some(width));
+            let profile: Arc<dyn SimProfile> = swept.clone();
+            let r = assert_engines_agree_at(&nl, &vectors, 2, "o1", Some(width), Some(profile));
             assert_eq!(r.cycles, 2 * size as u64, "W={width} size={size}");
         }
+        assert_eq!(swept.take(), widths_up_to(width), "slabs swept under cap W={width}");
     }
 }
 
