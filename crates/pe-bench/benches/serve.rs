@@ -10,7 +10,6 @@ use pe_bench::harness::{black_box, BenchGroup};
 use pe_core::pipeline::RunOptions;
 use pe_serve::{ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let mut g = BenchGroup::new("serve");
@@ -20,11 +19,7 @@ fn main() {
 
     let coalesced = Service::start(
         Arc::clone(&registry),
-        ServiceConfig {
-            mode: ServeMode::Verify,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { mode: ServeMode::Verify, ..ServiceConfig::default() },
     );
     g.bench("coalesced_verify_256_requests", || {
         let r = coalesced.classify_batch(key, &xs);
@@ -44,11 +39,7 @@ fn main() {
 
     let fast = Service::start(
         Arc::clone(&registry),
-        ServiceConfig {
-            mode: ServeMode::Int,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { mode: ServeMode::Int, ..ServiceConfig::default() },
     );
     g.bench("int_fast_path_256_requests", || {
         let r = fast.classify_batch(key, &xs);

@@ -20,9 +20,9 @@
 //!   observability layer disabled (`trace_capacity 0`, no `SimProfile`) to
 //!   measure the instrumentation cost, recorded as `obs_overhead_pct`.
 //! * **Sweep** (`--sweep`, part of the default run): open-loop arrival
-//!   rates × batch deadlines, reporting served throughput, batch fill and
-//!   p50/p99 latency per cell — the latency/efficiency trade-off curve of
-//!   the deadline knob.
+//!   rates, reporting served throughput, batch fill and p50/p99 latency
+//!   per rate — how the work-conserving batcher trades fill for latency
+//!   as load grows.
 //! * **TCP** (`--tcp ADDR`): hammers a running `pe-serve` binary over the
 //!   wire protocol with `--conns` concurrent connections, checks every
 //!   reply, **scrapes the `metrics` exposition mid-run** (failing unless
@@ -412,60 +412,54 @@ fn record_bench(fields: &[(&str, String)]) {
     }
 }
 
-/// Open-loop arrival sweep: rates × deadlines, one fresh service per cell.
+/// Open-loop arrival sweep: one fresh service per rate.
 fn run_sweep(registry: &Arc<ModelRegistry>, args: &Args) {
     let rates = [2_000u64, 10_000, 50_000];
-    let deadlines =
-        [Duration::from_micros(200), Duration::from_millis(1), Duration::from_millis(5)];
     println!("== open-loop sweep ({} @ {:?} mode) ==", args.key.token(), args.mode);
     println!(
-        "  {:>9}  {:>9}  {:>8}  {:>8}  {:>6}  {:>9}  {:>9}",
-        "rate r/s", "deadline", "served", "dropped", "fill%", "p50 µs", "p99 µs"
+        "  {:>9}  {:>8}  {:>8}  {:>6}  {:>9}  {:>9}",
+        "rate r/s", "served", "dropped", "fill%", "p50 µs", "p99 µs"
     );
     for &rate in &rates {
         let n = ((rate as f64 * 0.25) as usize).clamp(200, 8_000);
         let xs = test_vectors(registry, args.key, n);
-        for &deadline in &deadlines {
-            let service = Service::start(
-                Arc::clone(registry),
-                ServiceConfig {
-                    mode: args.mode,
-                    batch_deadline: deadline,
-                    event_driven: args.events,
-                    ..ServiceConfig::default()
-                },
-            );
-            let interval = Duration::from_secs_f64(1.0 / rate as f64);
-            let mut tickets = Vec::with_capacity(n);
-            let mut dropped = 0usize;
-            let start = Instant::now();
-            for (i, x) in xs.iter().enumerate() {
-                let due = start + interval * i as u32;
-                while Instant::now() < due {
-                    std::hint::spin_loop();
-                }
-                // Open loop: never block the arrival process on the queue.
-                match service.try_submit(args.key, x) {
-                    Ok(t) => tickets.push(t),
-                    Err(_) => dropped += 1,
-                }
+        let service = Service::start(
+            Arc::clone(registry),
+            ServiceConfig {
+                mode: args.mode,
+                event_driven: args.events,
+                ..ServiceConfig::default()
+            },
+        );
+        let interval = Duration::from_secs_f64(1.0 / rate as f64);
+        let mut tickets = Vec::with_capacity(n);
+        let mut dropped = 0usize;
+        let start = Instant::now();
+        for (i, x) in xs.iter().enumerate() {
+            let due = start + interval * i as u32;
+            while Instant::now() < due {
+                std::hint::spin_loop();
             }
-            for t in tickets {
-                let _ = t.wait();
+            // Open loop: never block the arrival process on the queue.
+            match service.try_submit(args.key, x) {
+                Ok(t) => tickets.push(t),
+                Err(_) => dropped += 1,
             }
-            let m = service.metrics();
-            println!(
-                "  {:>9}  {:>8.1}ms  {:>8}  {:>8}  {:>6.1}  {:>9.1}  {:>9.1}",
-                rate,
-                deadline.as_secs_f64() * 1e3,
-                m.served,
-                dropped,
-                m.batch_fill * 100.0,
-                m.p50.as_secs_f64() * 1e6,
-                m.p99.as_secs_f64() * 1e6
-            );
-            service.shutdown();
         }
+        for t in tickets {
+            let _ = t.wait();
+        }
+        let m = service.metrics();
+        println!(
+            "  {:>9}  {:>8}  {:>8}  {:>6.1}  {:>9.1}  {:>9.1}",
+            rate,
+            m.served,
+            dropped,
+            m.batch_fill * 100.0,
+            m.p50.as_secs_f64() * 1e6,
+            m.p99.as_secs_f64() * 1e6
+        );
+        service.shutdown();
     }
 }
 
@@ -778,14 +772,19 @@ fn run_tcp(addr: &str, args: &Args) -> Result<(), String> {
                 scope.spawn(move || -> Result<usize, String> {
                     let stream =
                         TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+                    // Like the open-loop client: no Nagle, and each request
+                    // leaves in one write, so the measured round trip is
+                    // the server's, not a delayed ACK's.
+                    let _ = stream.set_nodelay(true);
                     let mut reader = BufReader::new(
                         stream.try_clone().map_err(|e| format!("clone stream: {e}"))?,
                     );
                     let mut writer = stream;
                     let mut reply = String::new();
                     for x in chunk {
-                        let line = pe_serve::protocol::format_classify(args.key, x);
-                        writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
+                        let mut line = pe_serve::protocol::format_classify(args.key, x);
+                        line.push('\n');
+                        writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
                         reply.clear();
                         reader.read_line(&mut reply).map_err(|e| format!("recv: {e}"))?;
                         if !reply.starts_with("ok ") {

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! * **queue_wait** — submission until a worker drained the request's batch
-//!   from the pending queue (the coalescing delay: deadline + queue depth).
+//!   from the pending queue (the coalescing delay: the key's in-flight
+//!   sweep + queue depth).
 //! * **setup** — batch drained until the simulator starts sweeping: model
 //!   lookup, request unpacking, the integer golden path in verify mode, and
 //!   simulator stamping.

@@ -18,10 +18,12 @@
 //!   [`Schedule`](pe_sim::Schedule) so workers stamp out simulators
 //!   without re-levelizing.
 //! * [`Service`] — the batcher and hand-rolled worker pool: a bounded
-//!   pending queue with blocking backpressure, per-key coalescing into
-//!   ≤64-lane batches, and a batch deadline so ragged batches still flush
-//!   at low load. Modes: gate-level serving (default), the integer fast
-//!   path, or verify — both paths cross-checked bit-for-bit per batch.
+//!   pending queue with blocking backpressure, and work-conserving
+//!   per-key coalescing into ≤64-lane batches: a request waits only while
+//!   a batch of its model is being swept, so a lone request flushes at
+//!   once at low load and batches fill up under load. Modes: gate-level
+//!   serving (default), the integer fast path, or verify — both paths
+//!   cross-checked bit-for-bit per batch.
 //! * [`Metrics`] — per-model-key shards of lock-free counters and
 //!   log-scale histograms (built on [`pe_obs`]): throughput (windowed and
 //!   lifetime), queue-wait vs. service-time latency split, batch-fill
@@ -58,4 +60,4 @@ pub mod service;
 pub use metrics::{FrontendStats, Metrics, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
 pub use registry::{ModelEntry, ModelKey, ModelRegistry};
 pub use server::Server;
-pub use service::{ServeError, ServeMode, Service, ServiceConfig, Ticket};
+pub use service::{Intake, ServeError, ServeMode, Service, ServiceConfig, Ticket};

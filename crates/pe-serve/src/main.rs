@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]
-//!          [--width 1|2|4|8] [--events] [--deadline-us N] [--workers N]
+//!          [--width 1|2|4|8] [--events] [--workers N]
 //!          [--capacity N] [--warm key,key,... | --warm-grid]
 //!          [--weight key=W ...] [--max-conns N]
 //!          [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]
@@ -31,7 +31,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]\n\
-         \x20               [--width 1|2|4|8] [--events] [--deadline-us N] [--workers N]\n\
+         \x20               [--width 1|2|4|8] [--events] [--workers N]\n\
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
          \x20               [--weight key=W ...] [--max-conns N]\n\
          \x20               [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]\n\
@@ -78,11 +78,6 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--events" => args.cfg.event_driven = true,
-            "--deadline-us" => {
-                let us: u64 =
-                    value("--deadline-us")?.parse().map_err(|_| "bad --deadline-us".to_owned())?;
-                args.cfg.batch_deadline = Duration::from_micros(us);
-            }
             "--workers" => {
                 args.cfg.workers =
                     value("--workers")?.parse().map_err(|_| "bad --workers".to_owned())?;
@@ -159,14 +154,12 @@ fn main() -> ExitCode {
     let cfg = service.config();
     let width = cfg.lane_width.map_or("auto".to_owned(), |w| w.to_string());
     eprintln!(
-        "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, sweeps {}, deadline {:?}, \
-         workers {})",
+        "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, sweeps {}, workers {})",
         server.local_addr(),
         cfg.mode,
         cfg.batch_max,
         width,
         if cfg.event_driven { "event-driven" } else { "full" },
-        cfg.batch_deadline,
         cfg.workers,
     );
     let connections = server.run();

@@ -25,6 +25,10 @@
 //!    back in request order — and
 //! 5. **flushes** write buffers as far as the sockets accept.
 //!
+//! Every classify request of a pass is submitted through one [`Intake`],
+//! so the service's workers wake once per pass, with the pass's whole
+//! burst already queued.
+//!
 //! A pass that makes no progress pays an adaptive pause
 //! ([`poller::Backoff`](crate::poller::Backoff)): the loop polls flat out
 //! under load and converges to ~1 wakeup/ms when idle.
@@ -44,7 +48,7 @@
 use crate::metrics::FrontendStats;
 use crate::poller::{read_readiness, Backoff, Readiness};
 use crate::protocol::{parse_request, Request, MAX_LINE};
-use crate::service::{ServeError, Service, Ticket};
+use crate::service::{Intake, ServeError, Service, Ticket};
 use crate::ModelKey;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -130,11 +134,13 @@ impl Conn {
         }
     }
 
-    /// One full pass over this connection. Returns `true` if any progress
-    /// was made; sets `*shutdown_req` when a `shutdown` line was parsed.
+    /// One full pass over this connection, submitting through the scan
+    /// pass's `intake`. Returns `true` if any progress was made; sets
+    /// `*shutdown_req` when a `shutdown` line was parsed.
     fn pass(
         &mut self,
         service: &Service,
+        intake: &mut Intake<'_>,
         fe: &FrontendStats,
         draining: bool,
         ready_now: &mut u64,
@@ -144,7 +150,7 @@ impl Conn {
         // Retry the parked request first: the park must clear before any
         // more of this connection's bytes are even looked at.
         if let Some((key, x)) = self.parked.take() {
-            match service.try_submit(key, &x) {
+            match intake.try_submit(key, &x) {
                 Ok(t) => {
                     self.inflight.push_back(Reply::Pending(t));
                     progressed = true;
@@ -183,7 +189,7 @@ impl Conn {
         // or an EOF read in the same burst may never see another readable
         // edge.
         if !draining && !self.rbuf.is_empty() {
-            progressed |= self.parse_lines(service, fe, shutdown_req);
+            progressed |= self.parse_lines(service, intake, fe, shutdown_req);
         }
         progressed |= self.pump_replies();
         progressed |= self.flush();
@@ -220,6 +226,7 @@ impl Conn {
     fn parse_lines(
         &mut self,
         service: &Service,
+        intake: &mut Intake<'_>,
         fe: &FrontendStats,
         shutdown_req: &mut bool,
     ) -> bool {
@@ -273,7 +280,7 @@ impl Conn {
             progressed = true;
             match parse_request(text) {
                 Ok(Request::Classify { key, features }) => {
-                    match service.try_submit(key, &features) {
+                    match intake.try_submit(key, &features) {
                         Ok(t) => self.inflight.push_back(Reply::Pending(t)),
                         Err(ServeError::Busy) => {
                             fe.parked.inc();
@@ -456,11 +463,16 @@ impl Server {
                 progressed |= self.accept_burst(&mut conns, &mut free, &mut accepted, fe);
             }
             let mut ready_now = 0u64;
+            // One intake per scan pass: every request parsed (or retried
+            // from a park) this pass reaches the workers in one wake-up
+            // when the intake drops at the end of the pass.
+            let mut intake = self.service.intake();
             for i in 0..conns.len() {
                 let Some(conn) = conns[i].as_mut() else { continue };
                 let mut shutdown_req = false;
                 progressed |= conn.pass(
                     &self.service,
+                    &mut intake,
                     fe,
                     draining.is_some(),
                     &mut ready_now,
@@ -481,6 +493,7 @@ impl Server {
                     progressed = true;
                 }
             }
+            drop(intake);
             fe.conns_ready.set(ready_now);
             if let Some(t0) = draining {
                 let open = conns.iter().filter(|c| c.is_some()).count();

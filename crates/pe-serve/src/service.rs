@@ -8,30 +8,36 @@
 //! narrowest that holds it ([`LaneWidth::for_batch`]), under a per-model cap
 //! — auto-picked, or set via [`ServiceConfig::lane_width`] — that is also
 //! the chunk size of larger batches; the default 64-request batch therefore
-//! sweeps 64 lanes even where the cap is 512. A batch is
-//! flushed when it reaches [`ServiceConfig::batch_max`] lanes **or** when
-//! its oldest request has waited [`ServiceConfig::batch_deadline`] — ragged
-//! batches still flush promptly at low load, full batches flush immediately
-//! at saturation.
+//! sweeps 64 lanes even where the cap is 512.
+//!
+//! # Work-conserving flush rule
+//!
+//! Batching is adaptive, with no timer: a key's queue is **ready** when it
+//! holds a full batch ([`ServiceConfig::batch_max`] requests), when the
+//! service is stopping, or when **no batch of that key is being swept**.
+//! A request for an idle key therefore goes to an idle worker at once (a
+//! batch of one sweeps a single 64-lane word), while requests that arrive
+//! during one of the key's sweeps coalesce into its next batch — the
+//! batch grows exactly as long as the work it waits for is busy. Another
+//! key's ragged batch is never held back by this one's sweep.
 //!
 //! The worker pool is hand-rolled on `std` primitives: one bounded pending
 //! queue (a `Mutex` + two condvars, [`ServiceConfig::queue_capacity`]
 //! requests across all keys), [`Service::submit`] blocking for space —
 //! backpressure, not unbounded buffering — and [`Service::try_submit`]
-//! rejecting instead for callers that must not block.
+//! rejecting instead for callers that must not block. Both go through an
+//! [`Intake`], which enqueues without waking anyone and wakes the workers
+//! once when it is dropped; a front end that holds one intake across a
+//! burst of requests hands the workers the whole burst, not its first
+//! line.
 //!
-//! # Sharding, affinity, and warm simulators
+//! # Any idle worker; per-worker warm engines
 //!
-//! Workers are **sharded by model key**: every key hashes to a preferred
-//! worker ([`Service::preferred_worker`]), and each worker keeps a **warm**
-//! [`pe_sim::WarmSimulator`] per key it has served — the slab engine's full
-//! state (including the event-driven worklist's clean/dirty flags) carries
-//! across batches instead of being stamped out all-dirty per batch. That is
-//! what finally lets event-driven serving collect the >70% cell-eval
-//! savings the fault campaigns get on low-activity streams. Affinity is
-//! *soft*: a non-owner steals a key when its batch is full (at saturation
-//! warmness matters less than idle workers), when the owner has let the
-//! oldest request sit past **twice** the deadline, or during shutdown.
+//! Any idle worker takes any ready key. Each worker keeps a **warm**
+//! [`pe_sim::WarmSimulator`] per key it has served — the slab engine's
+//! full state (including the event-driven worklist's clean/dirty flags)
+//! carries across that worker's batches of the key instead of being
+//! stamped out all-dirty per batch.
 //!
 //! # Weighted-fair admission
 //!
@@ -39,7 +45,7 @@
 //! each key accrues `lanes × cycles-per-vector / weight` of virtual time as
 //! it is served, a key (re)joining the queue is clamped up to the global
 //! virtual clock (no idle credit hoarding), and the scheduler serves the
-//! eligible ready key with the *smallest* virtual time. A `pendigits:par`
+//! ready key with the *smallest* virtual time. A `pendigits:par`
 //! flood therefore cannot starve a `cardio:seq` trickle: the trickle's
 //! virtual time stays pinned at the clock and wins the next free worker,
 //! while the flood's keeps advancing with the work it already got. Weights
@@ -57,14 +63,14 @@
 //!   [`MetricsSnapshot::verify_mismatches`] and must stay zero.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::registry::{ModelKey, ModelRegistry};
+use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 use pe_obs::{RequestTrace, SimProfile, TraceRing};
 use pe_sim::bitslice::LANES;
 use pe_sim::LaneWidth;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -112,8 +118,6 @@ pub struct ServiceConfig {
     /// way the value is a cap and the chunk size, not a forced width: each
     /// gate-level batch sweeps at the narrowest slab that holds it, up to
     /// this cap ([`LaneWidth::for_batch`]).
-    ///
-    /// [`ModelEntry::lane_width`]: crate::registry::ModelEntry::lane_width
     pub lane_width: Option<LaneWidth>,
     /// Event-driven sweeps for gate-level batches: the slab engine only
     /// re-evaluates cells whose input slabs changed, which pays off on
@@ -121,9 +125,6 @@ pub struct ServiceConfig {
     /// bit-identical to the full-sweep default — predictions *and* toggle
     /// accounting.
     pub event_driven: bool,
-    /// How long the oldest queued request may wait before its (possibly
-    /// ragged) batch is flushed anyway.
-    pub batch_deadline: Duration,
     /// Bound on queued requests across all keys; beyond it `submit` blocks
     /// and `try_submit` rejects.
     pub queue_capacity: usize,
@@ -156,7 +157,6 @@ impl Default for ServiceConfig {
             batch_max: LANES,
             lane_width: None,
             event_driven: false,
-            batch_deadline: Duration::from_millis(2),
             queue_capacity: 4096,
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -259,6 +259,9 @@ struct QueueState {
     /// A key (re)joining an empty queue is clamped **up** to this, so a key
     /// that idled cannot bank credit and later monopolize the workers.
     vclock: f64,
+    /// Batches of each key being swept right now (absent: none). A ragged
+    /// queue waits only while its key is in here.
+    sweeping: HashMap<ModelKey, usize>,
 }
 
 impl QueueState {
@@ -280,6 +283,91 @@ impl QueueState {
         let vt = self.vt.entry(key).or_insert(self.vclock);
         *vt += cost as f64 / weight;
         self.vclock = self.vclock.max(*vt);
+    }
+
+    /// The key to flush next under weighted-fair admission: among the
+    /// **ready** queues (a full batch, a shutdown drain, or no batch of the
+    /// key in flight), the one with the smallest virtual time — ties broken
+    /// by token so scheduling is deterministic regardless of `HashMap`
+    /// iteration order.
+    fn pick_ready_key(&self, batch_max: usize) -> Option<ModelKey> {
+        let mut best: Option<(f64, String, ModelKey)> = None;
+        for (&key, q) in &self.pending {
+            let ready = self.stopping || q.len() >= batch_max || !self.sweeping.contains_key(&key);
+            if q.is_empty() || !ready {
+                continue;
+            }
+            let vt = self.vt.get(&key).copied().unwrap_or(self.vclock);
+            let better = match &best {
+                None => true,
+                Some((bvt, btok, _)) => {
+                    vt < *bvt || (vt == *bvt && key.token().as_str() < btok.as_str())
+                }
+            };
+            if better {
+                best = Some((vt, key.token(), key));
+            }
+        }
+        best.map(|(_, _, key)| key)
+    }
+
+    /// Drains the next ready batch (at most `batch_max` requests), charges
+    /// it to its key's virtual time and marks the key as being swept. The
+    /// caller releases the mark with [`QueueState::finish`] once the batch
+    /// has run.
+    fn take_batch(&mut self, cfg: &ServiceConfig) -> Option<(ModelKey, Vec<Pending>)> {
+        let key = self.pick_ready_key(cfg.batch_max)?;
+        let q = self.pending.get_mut(&key).expect("picked key exists");
+        let n = q.len().min(cfg.batch_max);
+        let reqs: Vec<Pending> = q.drain(..n).collect();
+        if q.is_empty() {
+            self.pending.remove(&key);
+        }
+        self.total -= n;
+        let cost: u64 = reqs.iter().map(|r| r.cost).sum();
+        self.charge(key, cost, cfg.weight(key));
+        *self.sweeping.entry(key).or_insert(0) += 1;
+        Some((key, reqs))
+    }
+
+    /// Releases one in-flight mark of `key` taken by [`QueueState::take_batch`].
+    fn finish(&mut self, key: ModelKey) {
+        if let Some(n) = self.sweeping.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                self.sweeping.remove(&key);
+            }
+        }
+    }
+}
+
+/// The in-flight mark of the batch one worker is sweeping. The worker
+/// releases it under the queue lock it takes for its next pick
+/// ([`InFlight::release`]); if the batch unwinds instead, `Drop` releases
+/// it, so a panicking batch cannot leave its key marked busy and hold
+/// back that key's ragged batches on every other worker.
+struct InFlight<'a> {
+    state: &'a Mutex<QueueState>,
+    work_ready: &'a Condvar,
+    key: Option<ModelKey>,
+}
+
+impl InFlight<'_> {
+    /// Releases the mark under the caller's lock; returns the released key.
+    fn release(&mut self, st: &mut QueueState) -> Option<ModelKey> {
+        let key = self.key.take()?;
+        st.finish(key);
+        Some(key)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner).finish(key);
+            // The key's queued requests may be ready now.
+            self.work_ready.notify_all();
+        }
     }
 }
 
@@ -319,9 +407,9 @@ impl Service {
             stopped: AtomicBool::new(false),
         });
         let workers = (0..shared.cfg.workers)
-            .map(|i| {
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, i))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         Arc::new(Service { shared, workers: Mutex::new(workers) })
@@ -339,12 +427,11 @@ impl Service {
         &self.shared.cfg
     }
 
-    /// The soft-affinity owner of a key under this service's worker count:
-    /// the worker whose warm simulator serves the key's batches unless it
-    /// falls behind (see the [module docs](self)).
+    /// A submission session: requests enqueued through it wake the workers
+    /// once, when it is dropped. See [`Intake`].
     #[must_use]
-    pub fn preferred_worker(&self, key: ModelKey) -> usize {
-        preferred_worker(key, self.shared.cfg.workers)
+    pub fn intake(&self) -> Intake<'_> {
+        Intake { shared: &self.shared, queued: false }
     }
 
     /// Enqueues one request, blocking while the queue is full
@@ -354,46 +441,13 @@ impl Service {
     /// `x` is a normalized (`[0,1]`) feature vector; quantization to the
     /// model's input grid happens here, on the submitter's thread.
     pub fn submit(&self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
-        self.submit_inner(key, x, true)
+        self.intake().submit(key, x)
     }
 
     /// Like [`Service::submit`] but returns [`ServeError::Busy`] instead of
     /// blocking when the queue is full.
     pub fn try_submit(&self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
-        self.submit_inner(key, x, false)
-    }
-
-    fn submit_inner(&self, key: ModelKey, x: &[f64], block: bool) -> Result<Ticket, ServeError> {
-        // Resolve the model outside the queue lock: the first request for a
-        // key pays its training cost here, not under the lock.
-        let entry = self.shared.registry.get(key);
-        if x.len() != entry.num_features() {
-            return Err(ServeError::WrongArity { expected: entry.num_features(), got: x.len() });
-        }
-        let x_q = entry.quantize_input(x);
-        let (tx, rx) = mpsc::channel();
-        let mut st = self.shared.state.lock().expect("service queue poisoned");
-        loop {
-            if st.stopping {
-                return Err(ServeError::ShuttingDown);
-            }
-            if st.total < self.shared.cfg.queue_capacity {
-                break;
-            }
-            if !block {
-                self.shared.metrics.on_reject(key);
-                return Err(ServeError::Busy);
-            }
-            st = self.shared.space_ready.wait(st).expect("service queue poisoned");
-        }
-        st.push(
-            key,
-            Pending { x_q, enqueued: Instant::now(), cost: entry.cycles_per_vector.max(1), tx },
-        );
-        self.shared.metrics.on_submit(key);
-        drop(st);
-        self.shared.work_ready.notify_one();
-        Ok(Ticket { rx })
+        self.intake().try_submit(key, x)
     }
 
     /// Submit-and-wait for one request.
@@ -407,44 +461,7 @@ impl Service {
     /// high-throughput front door — per-request locking is what caps
     /// [`Service::submit`] at saturation.
     pub fn submit_many(&self, key: ModelKey, xs: &[Vec<f64>]) -> Vec<Result<Ticket, ServeError>> {
-        let entry = self.shared.registry.get(key);
-        // Validate and quantize outside the lock.
-        let mut out: Vec<Result<Ticket, ServeError>> = Vec::with_capacity(xs.len());
-        let mut ready: Vec<(usize, Vec<i64>, ReplyTx)> = Vec::with_capacity(xs.len());
-        for (i, x) in xs.iter().enumerate() {
-            if x.len() == entry.num_features() {
-                let (tx, rx) = mpsc::channel();
-                out.push(Ok(Ticket { rx }));
-                ready.push((i, entry.quantize_input(x), tx));
-            } else {
-                out.push(Err(ServeError::WrongArity {
-                    expected: entry.num_features(),
-                    got: x.len(),
-                }));
-            }
-        }
-        let mut st = self.shared.state.lock().expect("service queue poisoned");
-        for (i, x_q, tx) in ready {
-            // Wait for space before pushing. Workers may not have been woken
-            // for the requests that filled the queue yet, so wake them
-            // before sleeping — or no one ever frees space.
-            while !st.stopping && st.total >= self.shared.cfg.queue_capacity {
-                self.shared.work_ready.notify_all();
-                st = self.shared.space_ready.wait(st).expect("service queue poisoned");
-            }
-            if st.stopping {
-                out[i] = Err(ServeError::ShuttingDown);
-                continue;
-            }
-            st.push(
-                key,
-                Pending { x_q, enqueued: Instant::now(), cost: entry.cycles_per_vector.max(1), tx },
-            );
-            self.shared.metrics.on_submit(key);
-        }
-        drop(st);
-        self.shared.work_ready.notify_all();
-        out
+        self.intake().submit_many(key, xs)
     }
 
     /// Submits a whole slice of requests before waiting on any of them, so
@@ -502,9 +519,9 @@ impl Service {
         self.shared.traces.recorded()
     }
 
-    /// Stops accepting requests, drains every queued batch (deadlines are
-    /// ignored — everything flushes), answers the stragglers and joins the
-    /// workers. Idempotent.
+    /// Stops accepting requests, drains every queued batch (ragged ones
+    /// included, whether or not their key is being swept), answers the
+    /// stragglers and joins the workers. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut st = self.shared.state.lock().expect("service queue poisoned");
@@ -541,122 +558,149 @@ impl fmt::Debug for Service {
     }
 }
 
-/// The soft-affinity owner of a key: a stable FNV-1a hash of its token,
-/// modulo the worker count. (`HashMap`'s default hasher is
-/// process-randomized — affinity must survive restarts and be testable, so
-/// it gets its own fixed hash.)
-fn preferred_worker(key: ModelKey, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.token().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % workers.max(1) as u64) as usize
+/// A submission session over one [`Service`]: it enqueues requests
+/// without waking the workers, and wakes them all once when it is dropped
+/// — if it queued anything. A front end that holds one intake across a
+/// burst (the TCP server holds one per scan pass) hands the workers the
+/// whole burst at once; under the work-conserving flush rule, waking them
+/// at the burst's first request would sweep that request alone.
+/// [`Service::submit`], [`Service::try_submit`] and
+/// [`Service::submit_many`] are one-shot intakes.
+pub struct Intake<'a> {
+    shared: &'a Shared,
+    queued: bool,
 }
 
-/// How long past the deadline a non-owner lets a ragged batch sit before
-/// stealing it (in multiples of [`ServiceConfig::batch_deadline`]): the
-/// owner gets one extra deadline of first refusal, so low-rate traffic
-/// stays on its warm simulator instead of bouncing between workers.
-const STEAL_GRACE: u32 = 2;
-
-/// Whether worker `worker` may take this ready queue now. Owners always
-/// may; non-owners steal full batches (saturation — warmth matters less
-/// than idle workers), anything during shutdown, and ragged batches whose
-/// oldest request has sat past `STEAL_GRACE` deadlines (the owner is
-/// presumably stuck in a long batch).
-fn eligible(
-    q: &VecDeque<Pending>,
-    key: ModelKey,
-    cfg: &ServiceConfig,
-    stopping: bool,
-    now: Instant,
-    worker: usize,
-    workers: usize,
-) -> bool {
-    if stopping || q.len() >= cfg.batch_max || preferred_worker(key, workers) == worker {
-        return true;
+impl Intake<'_> {
+    /// [`Service::submit`] through this intake: blocks while the queue is
+    /// full, waking the workers first.
+    pub fn submit(&mut self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
+        self.submit_one(key, x, true)
     }
-    q.front()
-        .is_some_and(|front| now.duration_since(front.enqueued) >= cfg.batch_deadline * STEAL_GRACE)
-}
 
-/// Picks the key worker `worker` should flush now under weighted-fair
-/// admission: among the **ready** queues (full batch, expired deadline, or
-/// shutdown drain) this worker is eligible for, the one with the smallest
-/// virtual time — ties broken by token so scheduling is deterministic
-/// regardless of `HashMap` iteration order.
-fn pick_ready_key(
-    st: &QueueState,
-    cfg: &ServiceConfig,
-    now: Instant,
-    worker: usize,
-    workers: usize,
-) -> Option<ModelKey> {
-    let mut best: Option<(f64, String, ModelKey)> = None;
-    for (&key, q) in &st.pending {
-        let Some(front) = q.front() else { continue };
-        let ready = st.stopping
-            || q.len() >= cfg.batch_max
-            || now.duration_since(front.enqueued) >= cfg.batch_deadline;
-        if !ready || !eligible(q, key, cfg, st.stopping, now, worker, workers) {
-            continue;
+    /// [`Service::try_submit`] through this intake: [`ServeError::Busy`]
+    /// instead of blocking when the queue is full.
+    pub fn try_submit(&mut self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
+        self.submit_one(key, x, false)
+    }
+
+    fn submit_one(&mut self, key: ModelKey, x: &[f64], block: bool) -> Result<Ticket, ServeError> {
+        // Resolve the model outside the queue lock: the first request for a
+        // key pays its training cost here, not under the lock.
+        let entry = self.shared.registry.get(key);
+        if x.len() != entry.num_features() {
+            return Err(ServeError::WrongArity { expected: entry.num_features(), got: x.len() });
         }
-        let vt = st.vt.get(&key).copied().unwrap_or(st.vclock);
-        let better = match &best {
-            None => true,
-            Some((bvt, btok, _)) => {
-                vt < *bvt || (vt == *bvt && key.token().as_str() < btok.as_str())
+        let x_q = entry.quantize_input(x);
+        let (tx, rx) = mpsc::channel();
+        let mut st = self.shared.state.lock().expect("service queue poisoned");
+        if !block && !st.stopping && st.total >= self.shared.cfg.queue_capacity {
+            self.shared.metrics.on_reject(key);
+            return Err(ServeError::Busy);
+        }
+        st = self.wait_for_space(st);
+        if st.stopping {
+            return Err(ServeError::ShuttingDown);
+        }
+        self.push(&mut st, key, &entry, x_q, tx);
+        Ok(Ticket { rx })
+    }
+
+    /// [`Service::submit_many`] through this intake.
+    pub fn submit_many(
+        &mut self,
+        key: ModelKey,
+        xs: &[Vec<f64>],
+    ) -> Vec<Result<Ticket, ServeError>> {
+        let entry = self.shared.registry.get(key);
+        // Validate and quantize outside the lock.
+        let mut out: Vec<Result<Ticket, ServeError>> = Vec::with_capacity(xs.len());
+        let mut ready: Vec<(usize, Vec<i64>, ReplyTx)> = Vec::with_capacity(xs.len());
+        for (i, x) in xs.iter().enumerate() {
+            if x.len() == entry.num_features() {
+                let (tx, rx) = mpsc::channel();
+                out.push(Ok(Ticket { rx }));
+                ready.push((i, entry.quantize_input(x), tx));
+            } else {
+                out.push(Err(ServeError::WrongArity {
+                    expected: entry.num_features(),
+                    got: x.len(),
+                }));
             }
-        };
-        if better {
-            best = Some((vt, key.token(), key));
+        }
+        let mut st = self.shared.state.lock().expect("service queue poisoned");
+        for (i, x_q, tx) in ready {
+            st = self.wait_for_space(st);
+            if st.stopping {
+                out[i] = Err(ServeError::ShuttingDown);
+                continue;
+            }
+            self.push(&mut st, key, &entry, x_q, tx);
+        }
+        out
+    }
+
+    /// Blocks while the queue is full and the service is running. The
+    /// workers may not have been woken for the requests that filled the
+    /// queue yet, so wake them before sleeping — or no one ever frees space.
+    fn wait_for_space<'g>(&self, mut st: MutexGuard<'g, QueueState>) -> MutexGuard<'g, QueueState> {
+        while !st.stopping && st.total >= self.shared.cfg.queue_capacity {
+            self.shared.work_ready.notify_all();
+            st = self.shared.space_ready.wait(st).expect("service queue poisoned");
+        }
+        st
+    }
+
+    fn push(
+        &mut self,
+        st: &mut QueueState,
+        key: ModelKey,
+        entry: &ModelEntry,
+        x_q: Vec<i64>,
+        tx: ReplyTx,
+    ) {
+        let cost = entry.cycles_per_vector.max(1);
+        st.push(key, Pending { x_q, enqueued: Instant::now(), cost, tx });
+        self.shared.metrics.on_submit(key);
+        self.queued = true;
+    }
+}
+
+impl Drop for Intake<'_> {
+    fn drop(&mut self) {
+        if self.queued {
+            self.shared.work_ready.notify_all();
         }
     }
-    best.map(|(_, _, key)| key)
 }
 
-/// The next instant any queued request becomes takeable by worker `worker`
-/// (for its timed wait): its own keys' requests at one deadline, other
-/// workers' at the steal grace.
-fn earliest_wakeup(
-    st: &QueueState,
-    cfg: &ServiceConfig,
-    worker: usize,
-    workers: usize,
-) -> Option<Instant> {
-    st.pending
-        .iter()
-        .filter_map(|(&key, q)| {
-            let front = q.front()?;
-            let factor = if preferred_worker(key, workers) == worker { 1 } else { STEAL_GRACE };
-            Some(front.enqueued + cfg.batch_deadline * factor)
-        })
-        .min()
+impl fmt::Debug for Intake<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Intake").field("queued", &self.queued).finish_non_exhaustive()
+    }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
+fn worker_loop(shared: &Shared) {
     // The worker's warm-simulator cache: one engine per key this worker has
     // served, carrying slab state (and the event-driven worklist) across
     // batches. Dropped — and with it all carried state — when the worker
     // exits at shutdown.
     let mut warm_sims: HashMap<ModelKey, WarmEntry> = HashMap::new();
-    let workers = shared.cfg.workers;
+    let mut in_flight =
+        InFlight { state: &shared.state, work_ready: &shared.work_ready, key: None };
     loop {
         let batch = {
             let mut st = shared.state.lock().expect("service queue poisoned");
+            let released = in_flight.release(&mut st);
             loop {
-                let now = Instant::now();
-                if let Some(key) = pick_ready_key(&st, &shared.cfg, now, worker, workers) {
-                    let q = st.pending.get_mut(&key).expect("picked key exists");
-                    let n = q.len().min(shared.cfg.batch_max);
-                    let reqs: Vec<Pending> = q.drain(..n).collect();
-                    if q.is_empty() {
-                        st.pending.remove(&key);
+                if let Some((key, reqs)) = st.take_batch(&shared.cfg) {
+                    in_flight.key = Some(key);
+                    // Requests that arrived during the released key's sweep
+                    // are ready now; if this worker took another key, hand
+                    // them to an idle one.
+                    if released.is_some_and(|k| k != key && st.pending.contains_key(&k)) {
+                        shared.work_ready.notify_one();
                     }
-                    st.total -= n;
-                    let cost: u64 = reqs.iter().map(|r| r.cost).sum();
-                    st.charge(key, cost, shared.cfg.weight(key));
                     shared.space_ready.notify_all();
                     break Some((key, reqs));
                 }
@@ -664,19 +708,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
                     debug_assert_eq!(st.total, 0, "stopping with no ready key means empty queues");
                     break None;
                 }
-                match earliest_wakeup(&st, &shared.cfg, worker, workers) {
-                    Some(when) => {
-                        let wait = when.saturating_duration_since(Instant::now());
-                        let (guard, _) = shared
-                            .work_ready
-                            .wait_timeout(st, wait)
-                            .expect("service queue poisoned");
-                        st = guard;
-                    }
-                    None => {
-                        st = shared.work_ready.wait(st).expect("service queue poisoned");
-                    }
-                }
+                st = shared.work_ready.wait(st).expect("service queue poisoned");
             }
         };
         let Some((key, reqs)) = batch else { return };
@@ -687,7 +719,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// One worker's warm engine for one key: the lifetime-free simulator next
 /// to the `Arc` that owns the netlist it reattaches every batch.
 struct WarmEntry {
-    entry: Arc<crate::registry::ModelEntry>,
+    entry: Arc<ModelEntry>,
     sim: pe_sim::WarmSimulator,
 }
 
@@ -834,31 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn ragged_batch_flushes_at_the_deadline() {
-        let registry = test_registry();
-        let key = cardio_seq();
-        let xs = samples(&registry, key, 3);
-        let svc = Service::start(
-            Arc::clone(&registry),
-            ServiceConfig {
-                mode: ServeMode::Verify,
-                batch_deadline: Duration::from_millis(5),
-                ..ServiceConfig::default()
-            },
-        );
-        let t0 = Instant::now();
-        let results = svc.classify_batch(key, &xs);
-        assert!(results.iter().all(Result::is_ok));
-        // 3 requests never fill a 64-lane batch: only the deadline flushes
-        // them. Generous upper bound to stay robust on loaded CI machines.
-        assert!(t0.elapsed() >= Duration::from_millis(4), "flushed before the deadline");
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        let m = svc.metrics();
-        assert_eq!(m.served, 3);
-        assert_eq!(m.batches, 1, "3 requests must coalesce into one ragged batch");
-    }
-
-    #[test]
     fn wrong_arity_is_rejected_at_submit() {
         let registry = test_registry();
         let svc = Service::start(Arc::clone(&registry), ServiceConfig::default());
@@ -871,17 +878,14 @@ mod tests {
         let registry = test_registry();
         let key = cardio_seq();
         let xs = samples(&registry, key, 4);
-        // One worker, capacity 2, a deadline long enough that nothing
-        // flushes while we overfill.
+        // One worker, capacity 2, and a batch of the key marked in flight:
+        // the two ragged requests wait behind it, so nothing drains while
+        // the queue is overfilled.
         let svc = Service::start(
             Arc::clone(&registry),
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                batch_deadline: Duration::from_secs(5),
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { workers: 1, queue_capacity: 2, ..ServiceConfig::default() },
         );
+        svc.shared.state.lock().unwrap().sweeping.insert(key, 1);
         let t1 = svc.try_submit(key, &xs[0]).expect("first fits");
         let t2 = svc.try_submit(key, &xs[1]).expect("second fits");
         let err = svc.try_submit(key, &xs[2]).unwrap_err();
@@ -901,12 +905,7 @@ mod tests {
         let xs = samples(&registry, key, 128);
         let svc = Service::start(
             Arc::clone(&registry),
-            ServiceConfig {
-                mode: ServeMode::Verify,
-                workers: 2,
-                batch_deadline: Duration::from_millis(50),
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { mode: ServeMode::Verify, workers: 2, ..ServiceConfig::default() },
         );
         let results = svc.classify_batch(key, &xs);
         assert!(results.iter().all(Result::is_ok));
@@ -919,24 +918,111 @@ mod tests {
 
     /// A synthetic pending request for scheduler-level tests (no service,
     /// no registry — pure queue mechanics).
-    fn synthetic(enqueued: Instant, cost: u64) -> Pending {
+    fn synthetic(cost: u64) -> Pending {
         let (tx, _rx) = mpsc::channel();
-        Pending { x_q: Vec::new(), enqueued, cost, tx }
+        Pending { x_q: Vec::new(), enqueued: Instant::now(), cost, tx }
     }
 
-    /// Drains one picked batch exactly like the worker loop does (without
-    /// executing it) and returns the key, or None when nothing is ready.
-    fn drain_one(st: &mut QueueState, cfg: &ServiceConfig, worker: usize) -> Option<ModelKey> {
-        let key = pick_ready_key(st, cfg, Instant::now(), worker, cfg.workers)?;
-        let q = st.pending.get_mut(&key).expect("picked key exists");
-        let n = q.len().min(cfg.batch_max);
-        let cost: u64 = q.drain(..n).map(|r| r.cost).sum();
-        if q.is_empty() {
-            st.pending.remove(&key);
-        }
-        st.total -= n;
-        st.charge(key, cost, cfg.weight(key));
+    /// Drains one batch and runs it to completion, as a single worker
+    /// does, and returns its key, or None when nothing is ready.
+    fn drain_one(st: &mut QueueState, cfg: &ServiceConfig) -> Option<ModelKey> {
+        let (key, _) = st.take_batch(cfg)?;
+        st.finish(key);
         Some(key)
+    }
+
+    /// A flush-rule harness: batches of 4, and the queued count of a key.
+    fn rule_cfg() -> ServiceConfig {
+        ServiceConfig { batch_max: 4, workers: 2, ..ServiceConfig::default() }
+    }
+
+    fn queued(st: &QueueState, key: ModelKey) -> usize {
+        st.pending.get(&key).map_or(0, VecDeque::len)
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_key_is_ready() {
+        let (key, cfg) = (cardio_seq(), rule_cfg());
+        let mut st = QueueState::default();
+        st.push(key, synthetic(1));
+        let (picked, reqs) = st.take_batch(&cfg).expect("an idle key flushes at once");
+        assert_eq!((picked, reqs.len()), (key, 1));
+        assert_eq!(st.sweeping.get(&key), Some(&1), "the drained batch is marked in flight");
+    }
+
+    #[test]
+    fn a_ragged_queue_waits_while_its_key_sweeps_and_a_full_one_does_not() {
+        let (key, cfg) = (cardio_seq(), rule_cfg());
+        let mut st = QueueState::default();
+        st.push(key, synthetic(1));
+        assert!(st.take_batch(&cfg).is_some());
+        // Requests arriving during the sweep coalesce: a ragged queue waits.
+        for _ in 1..cfg.batch_max {
+            st.push(key, synthetic(1));
+            assert!(st.take_batch(&cfg).is_none(), "ragged queue of {}", queued(&st, key));
+        }
+        // A full batch is ready regardless, so a second worker takes it.
+        st.push(key, synthetic(1));
+        let (_, reqs) = st.take_batch(&cfg).expect("a full batch is ready");
+        assert_eq!(reqs.len(), cfg.batch_max);
+        assert_eq!(st.sweeping.get(&key), Some(&2));
+        // The next ragged batch waits for both sweeps, not just one.
+        st.push(key, synthetic(1));
+        st.finish(key);
+        assert!(st.take_batch(&cfg).is_none());
+        st.finish(key);
+        assert_eq!(st.take_batch(&cfg).map(|(k, r)| (k, r.len())), Some((key, 1)));
+    }
+
+    #[test]
+    fn another_keys_ragged_queue_is_ready_while_one_key_sweeps() {
+        let cfg = rule_cfg();
+        let busy = cardio_seq();
+        let other = ModelKey::parse("pendigits:seq").unwrap();
+        let mut st = QueueState::default();
+        st.push(busy, synthetic(1));
+        assert!(st.take_batch(&cfg).is_some());
+        st.push(busy, synthetic(1));
+        st.push(other, synthetic(1));
+        let (picked, _) = st.take_batch(&cfg).expect("the other key is idle");
+        assert_eq!(picked, other);
+        assert!(st.take_batch(&cfg).is_none(), "the busy key's ragged queue still waits");
+    }
+
+    #[test]
+    fn stopping_drains_everything() {
+        let (key, cfg) = (cardio_seq(), rule_cfg());
+        let mut st = QueueState::default();
+        st.push(key, synthetic(1));
+        assert!(st.take_batch(&cfg).is_some());
+        st.push(key, synthetic(1));
+        assert!(st.take_batch(&cfg).is_none());
+        st.stopping = true;
+        assert!(st.take_batch(&cfg).is_some(), "shutdown flushes a ragged queue mid-sweep");
+        assert_eq!(st.total, 0);
+    }
+
+    #[test]
+    fn in_flight_mark_is_released_when_a_batch_unwinds() {
+        let (key, cfg) = (cardio_seq(), rule_cfg());
+        let state = Mutex::new(QueueState::default());
+        let work_ready = Condvar::new();
+        let mut in_flight = InFlight { state: &state, work_ready: &work_ready, key: None };
+        {
+            let mut st = state.lock().unwrap();
+            st.push(key, synthetic(1));
+            in_flight.key = st.take_batch(&cfg).map(|(k, _)| k);
+            st.push(key, synthetic(1));
+            assert!(st.take_batch(&cfg).is_none(), "the key is marked in flight");
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = in_flight;
+            panic!("batch panicked mid-sweep");
+        }));
+        assert!(unwound.is_err());
+        let mut st = state.lock().unwrap();
+        assert!(st.sweeping.is_empty(), "the unwind released the mark");
+        assert!(st.take_batch(&cfg).is_some(), "the key's ragged queue is ready again");
     }
 
     #[test]
@@ -949,28 +1035,22 @@ mod tests {
         // every time it rejoins.
         let flood = ModelKey::parse("pendigits:par").unwrap();
         let trickle = ModelKey::parse("cardio:seq").unwrap();
-        let cfg = ServiceConfig {
-            batch_max: 4,
-            batch_deadline: Duration::ZERO, // everything queued is ready
-            workers: 1,
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig { batch_max: 4, workers: 1, ..ServiceConfig::default() };
         let mut st = QueueState::default();
-        let now = Instant::now();
         for _ in 0..32 * cfg.batch_max {
-            st.push(flood, synthetic(now, 1));
+            st.push(flood, synthetic(1));
         }
         // The flood has already been served for a while before the trickle
         // joins — its virtual time is well ahead of the clock.
         for _ in 0..4 {
-            assert_eq!(drain_one(&mut st, &cfg, 0), Some(flood));
+            assert_eq!(drain_one(&mut st, &cfg), Some(flood));
         }
         let mut gaps = Vec::new();
         for _ in 0..8 {
-            st.push(trickle, synthetic(Instant::now(), 1));
+            st.push(trickle, synthetic(1));
             let mut gap = 0;
             loop {
-                let picked = drain_one(&mut st, &cfg, 0).expect("queues are non-empty");
+                let picked = drain_one(&mut st, &cfg).expect("queues are non-empty");
                 if picked == trickle {
                     break;
                 }
@@ -991,7 +1071,6 @@ mod tests {
         let b = ModelKey::parse("cardio:seq").unwrap();
         let cfg = ServiceConfig {
             batch_max: 4,
-            batch_deadline: Duration::ZERO,
             workers: 1,
             weights: vec![(b, 2.0)],
             ..ServiceConfig::default()
@@ -999,17 +1078,16 @@ mod tests {
         assert_eq!(cfg.weight(a), 1.0);
         assert_eq!(cfg.weight(b), 2.0);
         let mut st = QueueState::default();
-        let now = Instant::now();
         let total = 30 * cfg.batch_max;
         for _ in 0..total {
-            st.push(a, synthetic(now, 1));
-            st.push(b, synthetic(now, 1));
+            st.push(a, synthetic(1));
+            st.push(b, synthetic(1));
         }
         let (mut served_a, mut served_b) = (0, 0);
         // Sample mid-contention: while both floods are pending, the weight-2
         // key must get ~2x the drains of the weight-1 key.
         for _ in 0..30 {
-            match drain_one(&mut st, &cfg, 0) {
+            match drain_one(&mut st, &cfg) {
                 Some(k) if k == a => served_a += 1,
                 Some(k) if k == b => served_b += 1,
                 other => panic!("unexpected pick {other:?}"),
@@ -1019,57 +1097,6 @@ mod tests {
             served_b >= 2 * served_a - 1 && served_b <= 2 * served_a + 2,
             "weight 2.0 should double the share: a={served_a} b={served_b}"
         );
-    }
-
-    #[test]
-    fn affinity_steals_full_batches_but_gives_ragged_ones_grace() {
-        let key = cardio_seq();
-        let cfg = ServiceConfig {
-            batch_max: 4,
-            batch_deadline: Duration::from_millis(10),
-            workers: 4,
-            ..ServiceConfig::default()
-        };
-        let owner = preferred_worker(key, cfg.workers);
-        let thief = (owner + 1) % cfg.workers;
-        let now = Instant::now();
-
-        // A ragged batch past one deadline: the owner takes it, the thief
-        // must wait for the steal grace.
-        let expired = now.checked_sub(Duration::from_millis(11)).expect("clock has history");
-        let mut st = QueueState::default();
-        st.push(key, synthetic(expired, 1));
-        assert_eq!(pick_ready_key(&st, &cfg, now, owner, cfg.workers), Some(key));
-        assert_eq!(pick_ready_key(&st, &cfg, now, thief, cfg.workers), None);
-
-        // Past STEAL_GRACE deadlines the thief is allowed in (owner stuck).
-        let stale = now.checked_sub(Duration::from_millis(25)).expect("clock has history");
-        let mut st = QueueState::default();
-        st.push(key, synthetic(stale, 1));
-        assert_eq!(pick_ready_key(&st, &cfg, now, thief, cfg.workers), Some(key));
-
-        // A full batch is stealable immediately, fresh or not.
-        let mut st = QueueState::default();
-        for _ in 0..cfg.batch_max {
-            st.push(key, synthetic(now, 1));
-        }
-        assert_eq!(pick_ready_key(&st, &cfg, now, thief, cfg.workers), Some(key));
-
-        // Shutdown drains everything through anyone.
-        let mut st = QueueState::default();
-        st.push(key, synthetic(now, 1));
-        st.stopping = true;
-        assert_eq!(pick_ready_key(&st, &cfg, now, thief, cfg.workers), Some(key));
-    }
-
-    #[test]
-    fn preferred_worker_is_stable_and_in_range() {
-        for key in ModelKey::table1_grid() {
-            let w = preferred_worker(key, 8);
-            assert!(w < 8);
-            assert_eq!(w, preferred_worker(key, 8), "affinity must be deterministic");
-        }
-        assert_eq!(preferred_worker(cardio_seq(), 1), 0);
     }
 
     #[test]
@@ -1093,7 +1120,6 @@ mod tests {
                     mode: ServeMode::Verify,
                     event_driven,
                     workers: 1,
-                    batch_deadline: Duration::from_millis(1),
                     ..ServiceConfig::default()
                 },
             );
@@ -1126,7 +1152,6 @@ mod tests {
                 mode: ServeMode::Verify,
                 batch_max: 512,
                 lane_width: Some(LaneWidth::W8),
-                batch_deadline: Duration::from_millis(20),
                 ..ServiceConfig::default()
             },
         );

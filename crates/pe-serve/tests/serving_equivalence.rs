@@ -37,11 +37,7 @@ fn predict_int_matches_gate_level_across_the_table1_grid() {
 
     let service = Service::start(
         Arc::clone(&registry),
-        ServiceConfig {
-            mode: ServeMode::Verify,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { mode: ServeMode::Verify, ..ServiceConfig::default() },
     );
     let mut served = 0u64;
     for &key in &keys {
@@ -95,11 +91,7 @@ fn event_driven_service_matches_full_sweep_on_low_activity_batches() {
     let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
     let keys = [ModelKey::parse("cardio:seq").unwrap(), ModelKey::parse("cardio:par").unwrap()];
     registry.warm(&keys, pe_core::engine::default_threads(keys.len()), &mut NullSink);
-    let base = ServiceConfig {
-        mode: ServeMode::Verify,
-        batch_deadline: Duration::from_millis(1),
-        ..ServiceConfig::default()
-    };
+    let base = ServiceConfig { mode: ServeMode::Verify, ..ServiceConfig::default() };
     let full = Service::start(Arc::clone(&registry), base.clone());
     let events =
         Service::start(Arc::clone(&registry), ServiceConfig { event_driven: true, ..base });
@@ -131,11 +123,7 @@ fn concurrent_model_shards_stay_disjoint_and_merge_into_the_aggregate() {
     registry.warm(&keys, pe_core::engine::default_threads(keys.len()), &mut NullSink);
     let service = Service::start(
         Arc::clone(&registry),
-        ServiceConfig {
-            mode: ServeMode::Verify,
-            batch_deadline: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { mode: ServeMode::Verify, ..ServiceConfig::default() },
     );
     const THREADS: usize = 8;
     const ROUNDS: usize = 6; // even, so every thread hits both keys equally
@@ -247,7 +235,7 @@ fn concurrent_model_shards_stay_disjoint_and_merge_into_the_aggregate() {
 
 #[test]
 fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
-    // The warm-state equivalence satellite: an affinity worker's
+    // The warm-state equivalence satellite: a worker's
     // `WarmSimulator` carries event-driven dirty state *across* batches, so
     // a long repeated-request stream must stay bit-identical — predictions
     // AND toggle counters — to the same warm stream run dense, at every

@@ -12,8 +12,8 @@
 //! against flood quantiles from the same per-model metric shards — so the
 //! test measures scheduling order, not machine speed, and stays
 //! deterministic on loaded CI boxes. The fine-grained virtual-time
-//! properties (exact interleave positions, weight scaling, affinity
-//! stealing) are pinned by the deterministic unit tests in
+//! properties (exact interleave positions, weight scaling, the
+//! work-conserving flush rule) are pinned by the deterministic unit tests in
 //! `pe_serve::service`; this suite checks the same policy end to end
 //! through real worker threads and metric shards.
 
@@ -30,7 +30,7 @@ fn a_trickle_is_not_starved_behind_a_flood() {
     let trickle_key = ModelKey::parse("cardio:seq").unwrap();
     registry.warm(&[flood_key, trickle_key], 2, &mut NullSink);
 
-    // One worker, small batches, no deadline dawdling: the flood needs
+    // One worker and small batches: the flood needs
     // many serial batch drains, which is exactly the window where FIFO
     // would pin the trickle at the back of the line. Int mode keeps each
     // batch cheap — the test is about queueing, not gate evaluation.
@@ -40,7 +40,6 @@ fn a_trickle_is_not_starved_behind_a_flood() {
             mode: ServeMode::Int,
             workers: 1,
             batch_max: 64,
-            batch_deadline: Duration::ZERO,
             queue_capacity: 4096,
             ..ServiceConfig::default()
         },
