@@ -50,12 +50,14 @@
 //!   carry across the slab.
 //! * **Sequential batches** (`cycles_per_vector == c > 0`): every lane starts
 //!   the chunk from the chunk-entry net values and register state, all lanes
-//!   tick `c` times in lockstep (packed register update via
-//!   [`pe_netlist::CellKind::next_state_packed_wide`]), and the last active
-//!   lane's final values/state become the carry into the next chunk. The
-//!   chunk size — `64*W` lanes of the *configured* [`LaneWidth`] — is part
-//!   of this contract: the scalar engine implements the identical
-//!   chunked-streaming semantics at the *same* configured [`LaneWidth`]
+//!   run `c` clock cycles in lockstep — one settle, then per cycle a packed
+//!   register update ([`pe_netlist::CellKind::next_state_packed_wide`]) and
+//!   a settle, `1 + c` settles for what `c` scalar ticks settle `2c` times
+//!   — and the last active lane's final values/state become the carry into
+//!   the next chunk. The chunk size — `64*W` lanes of the *configured*
+//!   [`LaneWidth`] — is part of this contract: the scalar engine implements
+//!   the identical chunked-streaming semantics at the *same* configured
+//!   [`LaneWidth`]
 //!   ([`Simulator::run_batch`](crate::Simulator::run_batch) with
 //!   [`BatchMode::Scalar`](crate::sim::BatchMode)), which is what makes
 //!   bit-identity — outputs, per-net toggle counts, carried register state —
@@ -81,6 +83,7 @@
 //! [`crate::faults`]).
 
 use crate::activity::{ActivityReport, ToggleCounters};
+use crate::faults::GoldenTrajectory;
 use crate::sim::BatchResult;
 use pe_netlist::graph::FanoutCones;
 use pe_netlist::{CellId, CellKind, Netlist, NetlistError, PortDir};
@@ -482,8 +485,8 @@ fn compile(nl: &Netlist, order: &[CellId], regs: &[CellId]) -> (Vec<Op>, Vec<u32
 enum Tally {
     /// No accounting (activity disabled).
     Off,
-    /// Per-lane difference against the stored slab (ticks, lane-parallel
-    /// settles).
+    /// Per-lane difference against the stored slab (sequential cycles,
+    /// lane-parallel settles).
     Slab,
     /// Serial adjacent-lane differences for combinational batches: lane
     /// `l` is compared against lane `l-1` (lane 0 of word `i` against bit
@@ -1125,13 +1128,25 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         }
     }
 
-    /// One clock cycle for all active lanes: settle, clock every register,
-    /// settle again — the lane-parallel mirror of
-    /// [`Simulator::tick`](crate::Simulator::tick).
-    fn tick_lanes(&mut self, mask: &[u64; W]) {
+    /// `c` clock cycles for the lanes in `mask`: settle once, then per cycle
+    /// clock every register and settle — the lane-parallel mirror of `c`
+    /// calls to [`Simulator::tick`](crate::Simulator::tick). A tick settles
+    /// before its edge and again after it; here the settle opening each
+    /// later cycle is skipped, because it would recompute exactly the values
+    /// the previous cycle's settle left (no slab changes in between, so no
+    /// toggles either). `1 + c` settles give the same nets, registers and
+    /// toggle counts as `2c`.
+    ///
+    /// `at_settle(self, k)` runs after settle point `k`: `0` before the first
+    /// edge, `k` after the `k`-th.
+    fn run_cycles(&mut self, mask: &[u64; W], c: u64, mut at_settle: impl FnMut(&Self, usize)) {
         self.settle(mask, false);
-        self.clock_regs(0..self.regs.len(), mask);
-        self.settle(mask, false);
+        at_settle(self, 0);
+        for k in 1..=c as usize {
+            self.clock_regs(0..self.regs.len(), mask);
+            self.settle(mask, false);
+            at_settle(self, k);
+        }
     }
 
     /// Resets the registers `regs` (indices into `regs`/`state`) to their
@@ -1398,9 +1413,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 self.settle(&mask, true);
                 self.cycles += active as u64;
             } else {
-                for _ in 0..cycles_per_vector {
-                    self.tick_lanes(&mask);
-                }
+                self.run_cycles(&mask, cycles_per_vector, |_, _| {});
                 self.cycles += active as u64 * cycles_per_vector;
             }
             let t2 = timing.then(std::time::Instant::now);
@@ -1431,7 +1444,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     }
 
     /// Drives a port-named **combinational** workload through the design and
-    /// returns the output port value per entry — the inner loop of
+    /// returns the output port value per entry — the golden run of
     /// [`crate::faults::fault_campaign_comb`], `64 * W` patterns per sweep.
     ///
     /// # Panics
@@ -1442,24 +1455,12 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         workload: &[Vec<(String, i64)>],
         out_port: &str,
     ) -> Vec<i64> {
-        let mut out = Vec::with_capacity(workload.len());
-        for chunk in workload.chunks(LANES * W) {
-            let active = chunk.len();
-            let mask = lane_mask_wide::<W>(active);
-            self.drive_port_lanes(chunk);
-            self.settle(&mask, true);
-            self.cycles += active as u64;
-            for l in 0..active {
-                out.push(self.output_unsigned_lane(out_port, l));
-            }
-            self.collapse_to_lane(active - 1);
-        }
-        out
+        self.run_golden(workload, None, out_port, false).0
     }
 
     /// Drives a port-named **sequential** workload where every entry starts
     /// from power-on register state (frozen nets stay pinned) and is clocked
-    /// for `cycles_per_vector` ticks — the per-classification reset protocol
+    /// for `cycles_per_vector` cycles — the per-classification reset protocol
     /// of [`crate::faults::fault_campaign_seq`], `64 * W` classifications
     /// per sweep. Lanes are independent, so the whole chunk resets and ticks
     /// in lockstep.
@@ -1477,21 +1478,59 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         cycles_per_vector: u64,
         out_port: &str,
     ) -> Vec<i64> {
-        assert!(cycles_per_vector >= 1, "sequential workloads need at least one cycle");
-        assert!(
-            !self.toggles.is_enabled(),
-            "run_workload_seq_reset resets state per entry; activity accounting is undefined"
-        );
+        self.run_golden(workload, Some(cycles_per_vector), out_port, false).0
+    }
+
+    /// The campaign golden run behind [`BitSlicedSimulator::run_workload_comb`]
+    /// (`cycles` = `None`) and [`BitSlicedSimulator::run_workload_seq_reset`]
+    /// (`Some(c)`): entry `e` of the workload runs in lane `e % (64 * W)` of
+    /// sweep chunk `e / (64 * W)`, and the output port is read per entry.
+    /// With `record` it also returns the fault-free [`GoldenTrajectory`]:
+    /// every net at every settle point of every entry, copied from the
+    /// chunk's active lanes before the chunk collapses.
+    ///
+    /// # Panics
+    ///
+    /// As the two public wrappers.
+    pub(crate) fn run_golden(
+        &mut self,
+        workload: &[Vec<(String, i64)>],
+        cycles: Option<u64>,
+        out_port: &str,
+        record: bool,
+    ) -> (Vec<i64>, Option<GoldenTrajectory>) {
+        if let Some(c) = cycles {
+            assert!(c >= 1, "sequential workloads need at least one cycle");
+            assert!(
+                !self.toggles.is_enabled(),
+                "run_workload_seq_reset resets state per entry; activity accounting is undefined"
+            );
+        }
+        let mut traj =
+            record.then(|| GoldenTrajectory::new(self.nl.num_nets(), workload.len(), cycles));
         let mut out = Vec::with_capacity(workload.len());
-        for chunk in workload.chunks(LANES * W) {
+        for (k, chunk) in workload.chunks(LANES * W).enumerate() {
             let active = chunk.len();
             let mask = lane_mask_wide::<W>(active);
-            self.reset_regs(0..self.regs.len());
-            self.drive_port_lanes(chunk);
-            for _ in 0..cycles_per_vector {
-                self.tick_lanes(&mask);
+            let mut at_settle = |sim: &Self, point: usize| {
+                if let Some(t) = &mut traj {
+                    t.record(point, k * W, &sim.words, &mask);
+                }
+            };
+            match cycles {
+                None => {
+                    self.drive_port_lanes(chunk);
+                    self.settle(&mask, true);
+                    at_settle(self, 0);
+                    self.cycles += active as u64;
+                }
+                Some(c) => {
+                    self.reset_regs(0..self.regs.len());
+                    self.drive_port_lanes(chunk);
+                    self.run_cycles(&mask, c, at_settle);
+                    self.cycles += active as u64 * c;
+                }
             }
-            self.cycles += active as u64 * cycles_per_vector;
             for l in 0..active {
                 out.push(self.output_unsigned_lane(out_port, l));
             }
@@ -1499,7 +1538,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             // run_batch on this simulator reads a coherent serial carry.
             self.collapse_to_lane(active - 1);
         }
-        out
+        (out, traj)
     }
 
     // ---- PPSFP drivers (one fault site per lane) -------------------------
@@ -1607,8 +1646,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     }
 
     /// The shared PPSFP frame: `cycles` selects the per-entry step — `None`
-    /// settles combinationally, `Some(c)` resets the registers and ticks
-    /// `c` times.
+    /// settles combinationally, `Some(c)` resets the registers and runs `c`
+    /// clock cycles.
     fn lanes_diverging(
         &mut self,
         workload: &[Vec<(String, i64)>],
@@ -1649,9 +1688,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 Some(c) => {
                     self.reset_regs(0..self.regs.len());
                     self.drive_entry_broadcast(&ports, first, entry);
-                    for _ in 0..c {
-                        self.tick_lanes(&[!0; W]);
-                    }
+                    self.run_cycles(&[!0; W], c, |_, _| {});
                     self.cycles += watched * c;
                 }
             }
@@ -1734,13 +1771,19 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         ConeSchedule { comb, regs, frontier, valid_net }
     }
 
-    /// Loads every frontier net from one bit-packed golden state (bit
-    /// `net.index()` of `state`), broadcast across the lanes with pinned
-    /// lanes re-merged — the cone counterpart of driving an entry broadcast.
-    fn load_frontier(&mut self, sched: &ConeSchedule, state: &[u64]) {
+    /// Loads every frontier net from the golden trajectory at settle point
+    /// `point` of entry `e`, broadcast across the lanes with pinned lanes
+    /// re-merged — the cone counterpart of driving an entry broadcast.
+    fn load_frontier(
+        &mut self,
+        sched: &ConeSchedule,
+        traj: &GoldenTrajectory,
+        point: usize,
+        e: usize,
+    ) {
         for &(n, pinned) in &sched.frontier {
             let i = n as usize;
-            let b = broadcast((state[i / LANES] >> (i % LANES)) & 1 == 1);
+            let b = broadcast(traj.bit(point, e, i));
             let w = &mut self.words[i];
             if pinned {
                 let (fm, fv) = (&self.forced_mask[i], &self.forced_vals[i]);
@@ -1776,7 +1819,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     pub(crate) fn lanes_diverging_cone(
         &mut self,
         sched: &ConeSchedule,
-        traj: &crate::faults::GoldenTrajectory,
+        traj: &GoldenTrajectory,
         out_port: &str,
         golden: &[i64],
         watch: [u64; W],
@@ -1812,10 +1855,9 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         let watched = popcount_wide(&watch);
         let mut diverged = [0u64; W];
         for (e, &want) in golden.iter().enumerate().take(traj.entries()) {
-            let states = traj.entry_states(e);
             match cycles {
                 None => {
-                    self.load_frontier(sched, &states[0]);
+                    self.load_frontier(sched, traj, 0, e);
                     self.eval_cone(sched);
                     self.cycles += watched;
                 }
@@ -1826,11 +1868,11 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                     // state.
                     let regs = sched.regs.iter().map(|&i| i as usize);
                     self.reset_regs(regs.clone());
-                    self.load_frontier(sched, &states[0]);
+                    self.load_frontier(sched, traj, 0, e);
                     self.eval_cone(sched);
-                    for state in states.iter().take(c as usize + 1).skip(1) {
+                    for k in 1..=c as usize {
                         self.clock_regs(regs.clone(), &[!0; W]);
-                        self.load_frontier(sched, state);
+                        self.load_frontier(sched, traj, k, e);
                         self.eval_cone(sched);
                     }
                     self.cycles += watched * c;

@@ -44,7 +44,6 @@
 //! scheduled scalar simulator per site, one pattern at a time.
 
 use crate::bitslice::{lane_mask_wide, BitSlicedSimulator, LaneWidth, LANES};
-use crate::sim::Simulator;
 use pe_netlist::graph::FanoutCones;
 use pe_netlist::{Driver, NetId, Netlist, NetlistError};
 use pe_obs::{SimChunk, SimProfile};
@@ -141,81 +140,73 @@ pub struct ConeStats {
     pub cell_evals: u64,
 }
 
-/// The fault-free net-value trajectory of a campaign workload, captured once
-/// with the scalar reference simulator: one bit-packed snapshot of **every**
-/// net (bit `net.index()`) per settle point — one per entry for combinational
-/// workloads, `cycles + 1` per entry (post-reset, then after each tick) under
-/// the sequential per-classification reset protocol. Cone-scheduled chunks
-/// load their frontier nets from these snapshots instead of recomputing the
-/// fault-free world per sweep.
+/// The fault-free net-value trajectory of a campaign workload, recorded by
+/// the campaign's own bit-sliced golden run
+/// ([`BitSlicedSimulator::run_golden`]): every net's value at every settle
+/// point, for every entry. There is one settle point per entry for
+/// combinational workloads, and `cycles + 1` per entry (post-reset, then
+/// after each clock edge) under the sequential per-classification reset
+/// protocol. Cone-scheduled chunks load their frontier nets from here
+/// instead of recomputing the fault-free world per sweep.
+///
+/// The golden run carries entry `e` in lane `e` of its sweep chunks, so the
+/// layout follows the lanes: per settle point × net, `ceil(entries / 64)`
+/// words with bit `e % 64` of word `e / 64` holding entry `e`.
 #[derive(Debug)]
 pub(crate) struct GoldenTrajectory {
-    /// `entries * per_entry` snapshots, each entry's consecutive.
-    states: Vec<Vec<u64>>,
-    /// Snapshots per workload entry (`1` comb, `cycles + 1` seq).
-    per_entry: usize,
+    /// `points * nets * words` words, indexed `(point * nets + net) * words
+    /// + e / 64`.
+    bits: Vec<u64>,
+    /// Net count of the netlist.
+    nets: usize,
+    /// Words per (settle point, net): `ceil(entries / 64)`.
+    words: usize,
+    /// Workload entries recorded.
+    entries: usize,
     /// `Some(cycles)` for sequential workloads, `None` for combinational.
     cycles: Option<u64>,
 }
 
 impl GoldenTrajectory {
-    /// Runs the workload on a fresh scalar simulator, snapshotting every
-    /// settle point of every entry. The settle points are exactly the ones
-    /// the bit-sliced PPSFP driver visits: sequential entries reset the
-    /// registers to power-on, settle (snapshot 0), then tick `cycles` times
-    /// (snapshots `1..=cycles`); combinational entries drive and settle.
-    pub(crate) fn capture(
-        nl: &Netlist,
-        workload: &[Vec<(String, i64)>],
-        cycles: Option<u64>,
-    ) -> Result<Self, NetlistError> {
-        let mut sim = Simulator::new(nl)?;
-        let words = nl.num_nets().div_ceil(64);
-        let per_entry = match cycles {
-            None => 1,
-            Some(c) => c as usize + 1,
-        };
-        let mut states = Vec::with_capacity(workload.len() * per_entry);
-        for entry in workload {
-            for (p, v) in entry {
-                sim.set_input(p, *v);
-            }
-            match cycles {
-                None => {
-                    sim.eval_comb();
-                    states.push(Self::snapshot(&sim, nl, words));
-                }
-                Some(c) => {
-                    sim.reset();
-                    states.push(Self::snapshot(&sim, nl, words));
-                    for _ in 0..c {
-                        sim.tick();
-                        states.push(Self::snapshot(&sim, nl, words));
-                    }
-                }
-            }
-        }
-        Ok(GoldenTrajectory { states, per_entry, cycles })
+    /// An all-zero trajectory of `entries` entries over `nets` nets, to be
+    /// filled chunk by chunk by [`GoldenTrajectory::record`].
+    pub(crate) fn new(nets: usize, entries: usize, cycles: Option<u64>) -> Self {
+        let points = cycles.map_or(1, |c| c as usize + 1);
+        let words = entries.div_ceil(LANES);
+        GoldenTrajectory { bits: vec![0; points * nets * words], nets, words, entries, cycles }
     }
 
-    fn snapshot(sim: &Simulator<'_>, nl: &Netlist, words: usize) -> Vec<u64> {
-        let mut s = vec![0u64; words];
-        for (id, _) in nl.nets() {
-            if sim.net_value(id) {
-                s[id.index() / 64] |= 1u64 << (id.index() % 64);
+    /// Records settle point `point` of one golden sweep chunk whose lane 0
+    /// carries entry `64 * first_word`: every net's slab, masked to the
+    /// chunk's active lanes.
+    pub(crate) fn record<const W: usize>(
+        &mut self,
+        point: usize,
+        first_word: usize,
+        slabs: &[[u64; W]],
+        mask: &[u64; W],
+    ) {
+        let n = W.min(self.words - first_word);
+        let base = point * self.nets * self.words + first_word;
+        for (net, slab) in slabs.iter().enumerate() {
+            let dst = &mut self.bits[base + net * self.words..][..n];
+            for (w, d) in dst.iter_mut().enumerate() {
+                *d = slab[w] & mask[w];
             }
         }
-        s
     }
 
-    /// Number of workload entries captured.
+    /// The fault-free value of net index `net` at settle point `point` of
+    /// entry `e`.
+    #[inline]
+    pub(crate) fn bit(&self, point: usize, e: usize, net: usize) -> bool {
+        let word = self.bits[(point * self.nets + net) * self.words + e / LANES];
+        (word >> (e % LANES)) & 1 == 1
+    }
+
+    /// Number of workload entries recorded.
     pub(crate) fn entries(&self) -> usize {
-        self.states.len() / self.per_entry
-    }
-
-    /// The consecutive snapshots of one entry (`per_entry` of them).
-    pub(crate) fn entry_states(&self, e: usize) -> &[Vec<u64>] {
-        &self.states[e * self.per_entry..(e + 1) * self.per_entry]
+        self.entries
     }
 
     /// `Some(cycles)` for sequential workloads, `None` for combinational.
@@ -290,9 +281,9 @@ fn force_site_lanes<const W: usize>(
 /// The width-monomorphized PPSFP campaign frame shared by every campaign:
 /// pin `64 * W` sites per sweep, drive the workload broadcast, accumulate
 /// divergence, release. Under [`ConeMode::Auto`] / [`ConeMode::Always`]
-/// each chunk is evaluated through its fanout cone (frontier loaded from a
-/// once-captured [`GoldenTrajectory`]) whenever the cone is sparse enough
-/// to pay; every chunk's verdicts are bit-identical either way.
+/// each chunk is evaluated through its fanout cone (frontier loaded from the
+/// [`GoldenTrajectory`] the golden run recorded) whenever the cone is sparse
+/// enough to pay; every chunk's verdicts are bit-identical either way.
 ///
 /// `verdicts[i]` is true iff pinning `faults[i]` diverged the observed port
 /// on some workload entry. The aggregate campaigns fold this into a
@@ -308,20 +299,14 @@ fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
     profile: Option<&dyn SimProfile>,
 ) -> Result<(Vec<bool>, ConeStats), NetlistError> {
     let mut sim = BitSlicedSimulator::<'_, W>::new(nl)?;
-    let golden = match cycles {
-        None => sim.run_workload_comb(workload, out_port),
-        Some(c) => sim.run_workload_seq_reset(workload, c, out_port),
-    };
+    let cone = mode != ConeMode::Never && !faults.is_empty();
+    let (golden, traj) = sim.run_golden(workload, cycles, out_port, cone);
     if let Some(p) = profile {
         // Fed first so a recorder's campaign totals reconcile exactly with
         // the exit-summary `ConeStats::cell_evals` (golden + chunk deltas).
         p.on_campaign_golden(sim.cell_evals());
     }
-    let prep = if mode != ConeMode::Never && !faults.is_empty() {
-        Some((FanoutCones::new(nl), GoldenTrajectory::capture(nl, workload, cycles)?))
-    } else {
-        None
-    };
+    let prep = traj.map(|t| (FanoutCones::new(nl), t));
     let mut stats = ConeStats::default();
     let mut verdicts = Vec::with_capacity(faults.len());
     for chunk in faults.chunks(LANES * W) {
@@ -484,9 +469,9 @@ pub fn fault_campaign_seq_ppsfp_wide_obs(
 
 /// The original rebuild-per-site campaign implementations.
 ///
-/// These schedule a fresh scalar [`Simulator`] for every fault
-/// site and evaluate one pattern at a time — quadratic-ish work the reused
-/// force/release PPSFP campaigns avoid. They are kept **only** as the
+/// These schedule a fresh scalar [`Simulator`](crate::Simulator) for every
+/// fault site and evaluate one pattern at a time — quadratic-ish work the
+/// reused force/release PPSFP campaigns avoid. They are kept **only** as the
 /// reference oracle: the differential suites assert the fast campaigns
 /// reproduce these reports exactly, site for site.
 pub mod oracle {
@@ -631,6 +616,7 @@ pub mod oracle {
 mod tests {
     use super::oracle::FaultySimulator;
     use super::*;
+    use crate::sim::Simulator;
     use pe_netlist::Builder;
 
     fn adder2() -> Netlist {
@@ -1056,6 +1042,127 @@ mod tests {
             sa.cell_evals,
             sn.cell_evals
         );
+    }
+
+    /// The scalar replay the golden run's recording replaced, kept as its
+    /// oracle: every net's value (`[net.index()]`) at every settle point of
+    /// every entry, on the scalar reference simulator — `cycles = None`
+    /// drives and settles, `Some(c)` resets, then ticks `c` times.
+    fn scalar_trajectory(
+        nl: &Netlist,
+        workload: &[Vec<(String, i64)>],
+        cycles: Option<u64>,
+    ) -> Vec<Vec<Vec<bool>>> {
+        let snapshot = |sim: &Simulator<'_>| -> Vec<bool> {
+            let mut s = vec![false; nl.num_nets()];
+            for (id, _) in nl.nets() {
+                s[id.index()] = sim.net_value(id);
+            }
+            s
+        };
+        let mut sim = Simulator::new(nl).unwrap();
+        let mut entries = Vec::with_capacity(workload.len());
+        for entry in workload {
+            for (p, v) in entry {
+                sim.set_input(p, *v);
+            }
+            let mut states = Vec::new();
+            match cycles {
+                None => {
+                    sim.eval_comb();
+                    states.push(snapshot(&sim));
+                }
+                Some(c) => {
+                    sim.reset();
+                    states.push(snapshot(&sim));
+                    for _ in 0..c {
+                        sim.tick();
+                        states.push(snapshot(&sim));
+                    }
+                }
+            }
+            entries.push(states);
+        }
+        entries
+    }
+
+    /// Deterministic 1-bit vectors on ports `x0..x{inputs}`.
+    fn random_workload(inputs: usize, count: usize, seed: u64) -> Vec<Vec<(String, i64)>> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..count)
+            .map(|_| {
+                (0..inputs)
+                    .map(|i| {
+                        s ^= s >> 12;
+                        s ^= s << 25;
+                        s ^= s >> 27;
+                        (format!("x{i}"), (s.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 60) as i64 & 1)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Records the golden trajectory at slab width `W` and asserts every
+    /// (settle point, entry, net) bit against the scalar replay, and that
+    /// the padding lanes past the last entry stay zero.
+    fn assert_trajectory_matches_scalar<const W: usize>(
+        nl: &Netlist,
+        workload: &[Vec<(String, i64)>],
+        cycles: Option<u64>,
+        out: &str,
+    ) {
+        let mut sim = BitSlicedSimulator::<'_, W>::new(nl).unwrap();
+        let traj = sim.run_golden(workload, cycles, out, true).1.expect("recording was requested");
+        assert_eq!(traj.entries(), workload.len());
+        assert_eq!(traj.cycles_per_entry(), cycles);
+        let want = scalar_trajectory(nl, workload, cycles);
+        for (e, states) in want.iter().enumerate() {
+            for (point, nets) in states.iter().enumerate() {
+                for (net, &v) in nets.iter().enumerate() {
+                    assert_eq!(
+                        traj.bit(point, e, net),
+                        v,
+                        "W={W} {cycles:?}: entry {e} of {}, point {point}, net {net}",
+                        workload.len()
+                    );
+                }
+            }
+        }
+        let points = cycles.map_or(1, |c| c as usize + 1);
+        for e in workload.len()..workload.len().div_ceil(LANES) * LANES {
+            for point in 0..points {
+                for net in 0..nl.num_nets() {
+                    assert!(!traj.bit(point, e, net), "padding lane {e} leaked at net {net}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recorded_trajectory_matches_the_scalar_replay() {
+        // One ragged chunk (1), one full word (64), a second word (65), a
+        // multi-chunk run at W1 (130 = 64 + 64 + 2) and a ragged second
+        // chunk at W8 (513 = 512 + 1), on a combinational and a sequential
+        // design with register feedback.
+        use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
+        let spec = |registers| RandomNetlistSpec {
+            inputs: 5,
+            gates: 60,
+            registers,
+            outputs: 3,
+            input_prefix: "x",
+        };
+        let comb = random_netlist(&spec(0), 11);
+        let seq = random_netlist(&spec(3), 13);
+        for n in [1, 64, 65, 130] {
+            let wl = random_workload(5, n, n as u64);
+            assert_trajectory_matches_scalar::<1>(&comb, &wl, None, "o0");
+            assert_trajectory_matches_scalar::<1>(&seq, &wl, Some(3), "o1");
+        }
+        let wl = random_workload(5, 513, 513);
+        assert_trajectory_matches_scalar::<8>(&comb, &wl, None, "o0");
+        assert_trajectory_matches_scalar::<8>(&seq, &wl, Some(3), "o1");
     }
 
     #[test]

@@ -30,9 +30,9 @@ use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
 use pe_netlist::Netlist;
-use pe_obs::{SimBatch, SimProfile};
+use pe_obs::{ProfileRecorder, SimBatch, SimProfile};
 use pe_sim::faults::{enumerate_fault_sites, fault_campaign_comb, fault_campaign_seq, oracle};
-use pe_sim::{BatchMode, BatchResult, LaneWidth, Simulator};
+use pe_sim::{BatchMode, BatchResult, BitSlicedSimulator, LaneWidth, Simulator};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -349,6 +349,34 @@ fn every_width_agrees_on_ragged_sequential_batches() {
             assert_eq!(r.cycles, 2 * size as u64, "W={width} size={size}");
         }
         assert_eq!(swept.take(), widths_up_to(width), "slabs swept under cap W={width}");
+    }
+}
+
+#[test]
+fn dense_sequential_batches_settle_once_per_cycle() {
+    // A chunk of c cycles settles once before the first edge and once after
+    // each: exactly (1 + c) full sweeps of the scheduled core, at every
+    // width, with outputs, toggles and carried state still equal to the
+    // scalar engine, whose tick settles twice per cycle.
+    let nl = random_netlist(&fuzz_spec(3), 151);
+    let core = BitSlicedSimulator::<1>::new(&nl).unwrap().scheduled_cells() as u64;
+    for width in LaneWidth::ALL {
+        for size in [3, width.lanes() + 5] {
+            for cycles in [1u64, 4] {
+                let vectors = fuzz_vectors(5, size, size as u64 ^ cycles);
+                let rec = Arc::new(ProfileRecorder::new());
+                let profile: Arc<dyn SimProfile> = rec.clone();
+                assert_engines_agree_at(&nl, &vectors, cycles, "o1", Some(width), Some(profile));
+                let s = rec.snapshot();
+                let chunks = size.div_ceil(width.lanes()) as u64;
+                assert_eq!(s.sweeps, chunks, "W={width} size={size}");
+                assert_eq!(
+                    s.cell_evals,
+                    core * (1 + cycles) * chunks,
+                    "W={width} size={size} cycles={cycles}"
+                );
+            }
+        }
     }
 }
 

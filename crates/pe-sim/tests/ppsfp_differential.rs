@@ -7,8 +7,10 @@
 //! for site**, to the rebuild-per-site serial
 //! [`oracle`](pe_sim::faults::oracle). Coverage spans every generated design style, seeded-random netlists with
 //! registered feedback, ragged site counts around the 64-lane word boundary
-//! (1/63/64/65), and words whose lanes mix faults on register-driving nets
-//! with ordinary combinational sites.
+//! (1/63/64/65), words whose lanes mix faults on register-driving nets
+//! with ordinary combinational sites, and workloads long enough (65/130/513
+//! entries) that the golden run takes several chunks and cone-scheduled
+//! chunks read the recorded trajectory past its first word.
 //!
 //! The slab is width-generic (`[u64; W]`, up to 512 faulty machines per
 //! sweep) and fault verdicts are width-invariant, so the suite additionally
@@ -404,6 +406,56 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
         let (f, _) = cone(&[site]);
         let s = oracle::fault_campaign_seq(&nl, &[site], &workload, "o2", 2).unwrap();
         assert_eq!(f, s, "site {site:?} diverged from the rebuild oracle under cone scheduling");
+    }
+}
+
+/// A workload of `count > 64` entries whose first 64 all repeat one vector
+/// and whose 65th is its complement, so the faults only later entries
+/// detect are judged from the trajectory's second and later words.
+fn multi_word_workload(count: usize, seed: u64) -> Vec<Vec<(String, i64)>> {
+    let mut wl = fuzz_workload(5, count, seed);
+    let first = wl[0].clone();
+    for entry in wl.iter_mut().take(64) {
+        entry.clone_from(&first);
+    }
+    wl[64] = first.iter().map(|(p, v)| (p.clone(), 1 - v)).collect();
+    wl
+}
+
+#[test]
+fn multi_chunk_golden_runs_agree_with_the_oracle() {
+    // The golden run records the fault-free trajectory one bit per entry,
+    // 64 entries per word, and cone-scheduled chunks read their frontier
+    // back from it. 65 and 130 entries reach a second and third word at W1
+    // (the golden run also takes two and three chunks there); 513 entries
+    // at W8 take a full 512-lane golden chunk plus a ragged one.
+    let cnl = random_netlist(&fuzz_spec(0), 17);
+    let csites = enumerate_fault_sites(&cnl);
+    let snl = random_netlist(&fuzz_spec(3), 19);
+    let ssites = enumerate_fault_sites(&snl);
+    for (count, width) in [(65, LaneWidth::W1), (130, LaneWidth::W1), (513, LaneWidth::W8)] {
+        let wl = multi_word_workload(count, count as u64);
+        let coracle = oracle::fault_campaign_comb(&cnl, &csites, &wl, "o0").unwrap();
+        let soracle = oracle::fault_campaign_seq(&snl, &ssites, &wl, "o1", 3).unwrap();
+        // The later words matter: they catch faults the first word misses.
+        let head = &wl[..64];
+        let chead = oracle::fault_campaign_comb(&cnl, &csites, head, "o0").unwrap();
+        let shead = oracle::fault_campaign_seq(&snl, &ssites, head, "o1", 3).unwrap();
+        assert!(coracle.critical > chead.critical, "{count} comb entries: later words idle");
+        assert!(soracle.critical > shead.critical, "{count} seq entries: later words idle");
+        for mode in [ConeMode::Auto, ConeMode::Always] {
+            let (comb, cs) =
+                fault_campaign_comb_ppsfp_wide_obs(&cnl, &csites, &wl, "o0", width, mode, None)
+                    .unwrap();
+            assert_eq!(comb, coracle, "comb {mode:?}, {count} entries at W={width}");
+            let (seq, ss) =
+                fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &wl, "o1", 3, width, mode, None)
+                    .unwrap();
+            assert_eq!(seq, soracle, "seq {mode:?}, {count} entries at W={width}");
+            if mode == ConeMode::Always {
+                assert_eq!(cs.cone_chunks + ss.cone_chunks, cs.chunks + ss.chunks);
+            }
+        }
     }
 }
 
