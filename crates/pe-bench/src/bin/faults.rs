@@ -15,7 +15,7 @@
 //! simulator and reuses it for its whole shard via per-lane force/release.
 //!
 //! Usage: `cargo run --release -p pe-bench --bin faults
-//!         [max_sites] [--compare] [--collapse] [--width 1|2|4|8] [--events]`
+//!         [max_sites] [--compare] [--collapse] [--width 1|2|4|8]`
 //!
 //! `--compare` re-runs a subsample of the sites through the rebuild-per-site
 //! serial oracle, asserts the reports agree, and prints the measured
@@ -27,8 +27,7 @@
 //! [`SimProfile`] recorder reconciles with each run's exit [`ConeStats`],
 //! and cross-checks **toggle/activity counters** (not just
 //! classifications) between the scalar and bit-sliced engines on the same
-//! workload batch; `--events` adds the event-driven (dirty-cell worklist)
-//! engine to that cross-check. Every campaign additionally reports its
+//! workload batch. Every campaign additionally reports its
 //! cone-scheduling stats: chunks evaluated through their fanout cone vs
 //! full-sweep fallbacks, and the cell evaluations saved vs cone-off.
 //!
@@ -202,14 +201,12 @@ fn assert_profile_reconciles(label: &str, prof: &ProfileSnapshot, stats: &ConeSt
 
 /// The counter gate `--compare` was missing: classifications *and*
 /// toggle/activity counters must be bit-identical between the scalar
-/// reference and the bit-sliced full-sweep engine at the same width — and,
-/// with `--events`, the event-driven worklist engine too.
+/// reference and the bit-sliced engine at the same width.
 fn activity_crosscheck(
     nl: &Netlist,
     workload: &[Vec<(String, i64)>],
     flavor: Flavor,
     width: LaneWidth,
-    events: bool,
 ) {
     let vectors: Vec<Vec<i64>> =
         workload.iter().map(|e| e.iter().map(|(_, v)| *v).collect()).collect();
@@ -217,27 +214,20 @@ fn activity_crosscheck(
         Flavor::Comb => 0,
         Flavor::Seq { cycles } => cycles,
     };
-    let run = |mode: BatchMode, ev: bool| {
+    let run = |mode: BatchMode| {
         let mut sim = Simulator::new(nl).expect("acyclic");
         sim.set_batch_mode(mode);
         sim.set_lane_width(width);
-        sim.set_event_driven(ev);
         sim.enable_activity();
         let batch = sim.run_batch(&vectors, cycles, "class");
         (batch, sim.activity())
     };
-    let (want_batch, want_act) = run(BatchMode::Scalar, false);
-    let (full_batch, full_act) = run(BatchMode::BitSliced, false);
-    assert_eq!(full_batch, want_batch, "bit-sliced batch diverged from scalar");
-    assert_eq!(full_act, want_act, "bit-sliced toggle counters diverged from scalar");
-    if events {
-        let (ev_batch, ev_act) = run(BatchMode::BitSliced, true);
-        assert_eq!(ev_batch, want_batch, "event-driven batch diverged from scalar");
-        assert_eq!(ev_act, want_act, "event-driven toggle counters diverged from scalar");
-    }
+    let (want_batch, want_act) = run(BatchMode::Scalar);
+    let (sliced_batch, sliced_act) = run(BatchMode::BitSliced);
+    assert_eq!(sliced_batch, want_batch, "bit-sliced batch diverged from scalar");
+    assert_eq!(sliced_act, want_act, "bit-sliced toggle counters diverged from scalar");
     println!(
-        "activity check   : scalar == bit-sliced{} ({} toggles over {} vectors)",
-        if events { " == event-driven" } else { "" },
+        "activity check   : scalar == bit-sliced ({} toggles over {} vectors)",
         want_act.total_toggles(),
         vectors.len()
     );
@@ -248,7 +238,6 @@ struct CampaignOpts {
     max_sites: usize,
     compare: bool,
     collapse: bool,
-    events: bool,
     width: Option<LaneWidth>,
     threads: usize,
 }
@@ -259,7 +248,7 @@ fn campaign(
     style: DesignStyle,
     opts: &CampaignOpts,
 ) {
-    let CampaignOpts { max_sites, compare, collapse, events, width, threads } = *opts;
+    let CampaignOpts { max_sites, compare, collapse, width, threads } = *opts;
     let prepared = engine.prepared(profile, style);
     let nl = build_netlist(style, &prepared);
     let flavor = match style {
@@ -395,7 +384,6 @@ fn campaign(
             &workload,
             flavor,
             width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&nl)),
-            events,
         );
     }
     println!();
@@ -405,7 +393,6 @@ fn main() {
     let mut max_sites: usize = 0; // 0 = the full site list
     let mut compare = false;
     let mut collapse = false;
-    let mut events = false;
     let mut width: Option<LaneWidth> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -413,8 +400,6 @@ fn main() {
             compare = true;
         } else if arg == "--collapse" {
             collapse = true;
-        } else if arg == "--events" {
-            events = true;
         } else if arg == "--width" {
             width = match it.next().as_deref().and_then(LaneWidth::parse) {
                 Some(w) => Some(w),
@@ -426,9 +411,7 @@ fn main() {
         } else if let Ok(n) = arg.parse() {
             max_sites = n;
         } else {
-            eprintln!(
-                "usage: faults [max_sites] [--compare] [--collapse] [--width 1|2|4|8] [--events]"
-            );
+            eprintln!("usage: faults [max_sites] [--compare] [--collapse] [--width 1|2|4|8]");
             std::process::exit(2);
         }
     }
@@ -440,14 +423,8 @@ fn main() {
         ],
         RunOptions::default(),
     );
-    let opts = CampaignOpts {
-        max_sites,
-        compare,
-        collapse,
-        events,
-        width,
-        threads: pe_bench::grid_threads(),
-    };
+    let opts =
+        CampaignOpts { max_sites, compare, collapse, width, threads: pe_bench::grid_threads() };
     // The fully-parallel baseline (combinational campaign) and the paper's
     // sequential SVM (clocked campaign) — the headline design's robustness
     // was previously never measured here.

@@ -2,10 +2,6 @@
 //!
 //! Three drive modes:
 //!
-//! `--events` routes every in-process service through the event-driven
-//! (dirty-cell worklist) sweep mode; with `--ratio` it additionally
-//! measures the low-activity payoff on a repeated-request stream.
-//!
 //! * **Ratio** (`--ratio`, part of the default run): closed-loop saturation
 //!   throughput of the lane-coalescing service (up to `64 * W` requests per
 //!   sweep; `--width` sets the slab width cap) versus a
@@ -45,7 +41,10 @@
 
 use pe_core::engine::{NullSink, ProgressSink, StderrProgress};
 use pe_core::pipeline::RunOptions;
-use pe_serve::{MetricsSnapshot, ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
+use pe_serve::{
+    MetricsSnapshot, ModelKey, ModelMetricsSnapshot, ModelRegistry, ServeMode, Service,
+    ServiceConfig,
+};
 use pe_sim::LaneWidth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,7 +61,6 @@ struct Args {
     requests: usize,
     batch_max: usize,
     width: Option<LaneWidth>,
-    events: bool,
     ratio: bool,
     sweep: bool,
     expect_ratio: Option<f64>,
@@ -85,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         // the single-chunk floor without splitting the batch.
         batch_max: 512,
         width: None,
-        events: false,
         ratio: false,
         sweep: false,
         expect_ratio: None,
@@ -114,7 +111,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or(format!("bad --width {spec:?} (expected 1|2|4|8 words)"))?,
                 );
             }
-            "--events" => args.events = true,
             "--ratio" => args.ratio = true,
             "--sweep" => args.sweep = true,
             "--expect-ratio" => {
@@ -150,7 +146,8 @@ fn test_vectors(registry: &ModelRegistry, key: ModelKey, n: usize) -> Vec<Vec<f6
 /// for every reply. With `sample`, a sampler thread prints one line per
 /// interval: windowed throughput plus the queue-wait / service-time
 /// quantiles of **just that interval** — per-model shard snapshots
-/// subtracted with [`pe_obs::HistSnapshot::delta_since`].
+/// subtracted with [`pe_obs::HistSnapshot::delta_since`]. Returns the rate,
+/// the aggregate snapshot and `key`'s own shard snapshot.
 fn saturation_rps(
     registry: &Arc<ModelRegistry>,
     key: ModelKey,
@@ -158,7 +155,7 @@ fn saturation_rps(
     xs: &[Vec<f64>],
     injectors: usize,
     sample: Option<Duration>,
-) -> (f64, MetricsSnapshot) {
+) -> (f64, MetricsSnapshot, ModelMetricsSnapshot) {
     let service = Service::start(Arc::clone(registry), cfg);
     let batch_max = service.config().batch_max;
     let done = AtomicBool::new(false);
@@ -220,8 +217,9 @@ fn saturation_rps(
         done.store(true, Ordering::Release);
     });
     let m = service.metrics();
+    let shard = service.metrics_store().shard(key).snapshot(batch_max);
     service.shutdown();
-    (xs.len() as f64 / dt, m)
+    (xs.len() as f64 / dt, m, shard)
 }
 
 /// The batching payoff: coalesced wide-lane serving vs one-request-per-
@@ -232,7 +230,6 @@ fn run_ratio(registry: &Arc<ModelRegistry>, args: &Args) -> f64 {
         mode: args.mode,
         batch_max: args.batch_max,
         lane_width: args.width,
-        event_driven: args.events,
         ..ServiceConfig::default()
     };
     let injectors = 8;
@@ -253,9 +250,9 @@ fn run_ratio(registry: &Arc<ModelRegistry>, args: &Args) -> f64 {
     // ramp-up deflate whichever run goes first by 2x or more, which would
     // otherwise be charged to the headline figure.
     let _ = saturation_rps(registry, args.key, base.clone(), &xs_single, injectors, None);
-    let (rps_b, m_b) =
+    let (rps_b, m_b, shard_b) =
         saturation_rps(registry, args.key, base.clone(), &xs_batched, injectors, sample);
-    let (rps_s, m_s) = saturation_rps(
+    let (rps_s, m_s, _) = saturation_rps(
         registry,
         args.key,
         ServiceConfig { batch_max: 1, ..base.clone() },
@@ -285,9 +282,12 @@ fn run_ratio(registry: &Arc<ModelRegistry>, args: &Args) -> f64 {
         us(m_b.service_p99)
     );
     let ratio = rps_b / rps_s;
+    // The width gauge holds only the last (often ragged) batch's slab;
+    // the capacity-weighted mean covers every sweep of the run.
+    let lane_words = shard_b.mean_lane_words();
     println!(
-        "  batching speedup: {ratio:.1}x  (lane_width {} words, lane_fill {:.1}%, {} sweeps)",
-        m_b.lane_width,
+        "  batching speedup: {ratio:.1}x  (lane_width {lane_words:.2} words, lane_fill {:.1}%, \
+         {} sweeps)",
         m_b.lane_fill * 100.0,
         m_b.sweeps
     );
@@ -313,35 +313,6 @@ fn run_ratio(registry: &Arc<ModelRegistry>, args: &Args) -> f64 {
          ({obs_overhead_pct:+.2}% throughput)"
     );
 
-    // Low-activity delta: the same request repeated fills every lane of a
-    // slab with identical bits, so the event-driven worklist drains after
-    // the first sweep's settling — the best case for `--events`. Served
-    // predictions must match bit-for-bit either way (Verify mode checks).
-    if args.events {
-        let xs_low: Vec<Vec<f64>> = vec![xs_batched[0].clone(); args.requests];
-        let (rps_full, m_full) = saturation_rps(
-            registry,
-            args.key,
-            ServiceConfig { event_driven: false, ..base.clone() },
-            &xs_low,
-            injectors,
-            None,
-        );
-        let (rps_ev, m_ev) =
-            saturation_rps(registry, args.key, base.clone(), &xs_low, injectors, None);
-        assert_eq!(m_full.verify_mismatches + m_ev.verify_mismatches, 0, "verify must never fire");
-        let gain_pct = (rps_ev / rps_full - 1.0) * 100.0;
-        println!(
-            "  low-activity (repeated request): {rps_ev:.0} req/s event-driven vs {rps_full:.0} \
-             full-sweep ({gain_pct:+.1}%)"
-        );
-        record_bench(&[
-            ("events_low_activity_rps", format!("{rps_ev:.0}")),
-            ("dense_low_activity_rps", format!("{rps_full:.0}")),
-            ("events_gain_pct", format!("{gain_pct:.2}")),
-        ]);
-    }
-
     // Machine-readable record for the acceptance gates and the README.
     record_bench(&[
         (
@@ -364,7 +335,7 @@ fn run_ratio(registry: &Arc<ModelRegistry>, args: &Args) -> f64 {
         ("coalesced_service_p50_us", format!("{:.1}", us(m_b.service_p50))),
         ("coalesced_service_p99_us", format!("{:.1}", us(m_b.service_p99))),
         ("batch_fill", format!("{:.3}", m_b.batch_fill)),
-        ("lane_width_words", format!("{}", m_b.lane_width)),
+        ("lane_width_words", format!("{lane_words:.2}")),
         ("lane_fill", format!("{:.3}", m_b.lane_fill)),
         ("sweeps", format!("{}", m_b.sweeps)),
         ("instrumented_rps", format!("{rps_obs:.0}")),
@@ -425,11 +396,7 @@ fn run_sweep(registry: &Arc<ModelRegistry>, args: &Args) {
         let xs = test_vectors(registry, args.key, n);
         let service = Service::start(
             Arc::clone(registry),
-            ServiceConfig {
-                mode: args.mode,
-                event_driven: args.events,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { mode: args.mode, ..ServiceConfig::default() },
         );
         let interval = Duration::from_secs_f64(1.0 / rate as f64);
         let mut tickets = Vec::with_capacity(n);

@@ -48,10 +48,6 @@ pub struct RunOptions {
     /// batch's chunk size and a cap: a batch sweeps the narrowest slab that
     /// holds one chunk ([`LaneWidth::for_batch`]).
     pub lane_width: Option<LaneWidth>,
-    /// Event-driven sweeps for the bit-sliced engine: only re-evaluate cells
-    /// whose input slabs changed ([`pe_sim::Simulator::set_event_driven`]).
-    /// Bit-identical to full sweeps; pays off on low-activity batches.
-    pub event_driven: bool,
 }
 
 impl Default for RunOptions {
@@ -64,7 +60,6 @@ impl Default for RunOptions {
             tech: TechParams::standard(),
             batch_mode: BatchMode::default(),
             lane_width: None,
-            event_driven: false,
         }
     }
 }
@@ -347,7 +342,6 @@ pub fn run_prepared(
     let mut sim = Simulator::new(&nl).expect("generated designs are acyclic");
     sim.set_batch_mode(opts.batch_mode);
     sim.set_lane_width(opts.lane_width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&nl)));
-    sim.set_event_driven(opts.event_driven);
     sim.enable_activity();
     let cycles_per_vector = if style == DesignStyle::SequentialSvm { cycles } else { 0 };
     let batch = sim.run_batch(&vectors, cycles_per_vector, "class");

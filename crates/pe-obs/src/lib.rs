@@ -17,7 +17,7 @@
 //!   dump the most recent spans for a `trace` wire command.
 //! * [`profile`] — the [`SimProfile`] hook trait the
 //!   simulator crate feeds with per-batch phase timings (drive/eval/readout),
-//!   sweep counts, event-driven work accounting, and per-chunk fault-campaign
+//!   sweep counts, cell-evaluation counts, and per-chunk fault-campaign
 //!   cone statistics — plus [`ProfileRecorder`], an
 //!   atomic aggregator any number of simulators can share.
 //!

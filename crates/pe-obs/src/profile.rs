@@ -8,9 +8,7 @@
 //!
 //! * [`SimProfile::on_batch`] — once per bit-sliced `run_batch` call, with
 //!   the phase decomposition (drive/eval/readout nanoseconds), sweep count,
-//!   cycles, and combinational cell evaluations (under event-driven sweeps
-//!   that figure **is** the dirty-cell evaluation count — the work metric
-//!   the worklist exists to shrink).
+//!   cycles, and combinational cell evaluations.
 //! * [`SimProfile::on_chunk`] / [`SimProfile::on_campaign_golden`] — once
 //!   per PPSFP fault-campaign chunk (cone-scheduled or full-sweep fallback,
 //!   with the cone/core cell counts) and once for the campaign's golden
@@ -33,8 +31,7 @@ pub struct SimBatch {
     pub sweeps: u64,
     /// Clock cycles accounted by the batch.
     pub cycles: u64,
-    /// Combinational cell evaluations spent (the dirty-cell evaluation
-    /// count when `event_driven`).
+    /// Combinational cell evaluations spent.
     pub cell_evals: u64,
     /// Nanoseconds packing inputs into lane slabs.
     pub drive_ns: u64,
@@ -42,8 +39,6 @@ pub struct SimBatch {
     pub eval_ns: u64,
     /// Nanoseconds reading outputs back out and collapsing the carry lane.
     pub readout_ns: u64,
-    /// Whether the dirty-cell worklist engine ran this batch.
-    pub event_driven: bool,
 }
 
 /// One PPSFP fault-campaign chunk (`64 * W` pinned sites).
@@ -102,8 +97,6 @@ pub struct ProfileRecorder {
     drive_ns: AtomicU64,
     eval_ns: AtomicU64,
     readout_ns: AtomicU64,
-    event_batches: AtomicU64,
-    event_cell_evals: AtomicU64,
     chunks: AtomicU64,
     cone_chunks: AtomicU64,
     fallback_chunks: AtomicU64,
@@ -131,8 +124,6 @@ impl ProfileRecorder {
             drive_ns: self.drive_ns.load(Ordering::Relaxed),
             eval_ns: self.eval_ns.load(Ordering::Relaxed),
             readout_ns: self.readout_ns.load(Ordering::Relaxed),
-            event_batches: self.event_batches.load(Ordering::Relaxed),
-            event_cell_evals: self.event_cell_evals.load(Ordering::Relaxed),
             chunks: self.chunks.load(Ordering::Relaxed),
             cone_chunks: self.cone_chunks.load(Ordering::Relaxed),
             fallback_chunks: self.fallback_chunks.load(Ordering::Relaxed),
@@ -152,10 +143,6 @@ impl SimProfile for ProfileRecorder {
         self.drive_ns.fetch_add(b.drive_ns, Ordering::Relaxed);
         self.eval_ns.fetch_add(b.eval_ns, Ordering::Relaxed);
         self.readout_ns.fetch_add(b.readout_ns, Ordering::Relaxed);
-        if b.event_driven {
-            self.event_batches.fetch_add(1, Ordering::Relaxed);
-            self.event_cell_evals.fetch_add(b.cell_evals, Ordering::Relaxed);
-        }
     }
 
     fn on_chunk(&self, c: &SimChunk) {
@@ -193,10 +180,6 @@ pub struct ProfileSnapshot {
     pub eval_ns: u64,
     /// Nanoseconds reading outputs / collapsing.
     pub readout_ns: u64,
-    /// Batches that ran event-driven.
-    pub event_batches: u64,
-    /// Cell evaluations (dirty-cell work) of the event-driven batches.
-    pub event_cell_evals: u64,
     /// PPSFP campaign chunks observed.
     pub chunks: u64,
     /// Chunks evaluated through their fanout cone.
@@ -225,7 +208,6 @@ mod tests {
             drive_ns: 100,
             eval_ns: 900,
             readout_ns: 50,
-            event_driven: false,
         });
         r.on_batch(&SimBatch {
             lanes: 64,
@@ -236,7 +218,6 @@ mod tests {
             drive_ns: 10,
             eval_ns: 90,
             readout_ns: 5,
-            event_driven: true,
         });
         r.on_chunk(&SimChunk {
             sites: 512,
@@ -260,8 +241,6 @@ mod tests {
         assert_eq!(s.drive_ns, 110);
         assert_eq!(s.eval_ns, 990);
         assert_eq!(s.readout_ns, 55);
-        assert_eq!(s.event_batches, 1);
-        assert_eq!(s.event_cell_evals, 200);
         assert_eq!(s.chunks, 2);
         assert_eq!(s.cone_chunks, 1);
         assert_eq!(s.fallback_chunks, 1);
@@ -286,7 +265,6 @@ mod tests {
                             drive_ns: 1,
                             eval_ns: 1,
                             readout_ns: 1,
-                            event_driven: false,
                         });
                     }
                 });

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]
-//!          [--width 1|2|4|8] [--events] [--workers N]
+//!          [--width 1|2|4|8] [--workers N]
 //!          [--capacity N] [--warm key,key,... | --warm-grid]
 //!          [--weight key=W ...] [--max-conns N]
 //!          [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]
@@ -31,15 +31,13 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]\n\
-         \x20               [--width 1|2|4|8] [--events] [--workers N]\n\
+         \x20               [--width 1|2|4|8] [--workers N]\n\
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
          \x20               [--weight key=W ...] [--max-conns N]\n\
          \x20               [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]\n\
          --width caps the bit-sliced slab width in words (64-512 lanes; lane\n\
          counts accepted) and sets the chunk size of larger batches; each\n\
          batch sweeps the narrowest slab that holds it; default: per-model auto\n\
-         --events enables event-driven sweeps (dirty-cell worklist; identical\n\
-         predictions, fewer cell evaluations on low-activity batches)\n\
          --weight sets a model's weighted-fair admission share (repeatable;\n\
          e.g. --weight cardio:seq=2 gives it twice the default share)\n\
          --max-conns caps concurrent connections (default 16384)\n\
@@ -77,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
                         .ok_or(format!("bad --width {spec:?} (expected 1|2|4|8 words)"))?,
                 );
             }
-            "--events" => args.cfg.event_driven = true,
             "--workers" => {
                 args.cfg.workers =
                     value("--workers")?.parse().map_err(|_| "bad --workers".to_owned())?;
@@ -154,12 +151,11 @@ fn main() -> ExitCode {
     let cfg = service.config();
     let width = cfg.lane_width.map_or("auto".to_owned(), |w| w.to_string());
     eprintln!(
-        "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, sweeps {}, workers {})",
+        "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, workers {})",
         server.local_addr(),
         cfg.mode,
         cfg.batch_max,
         width,
-        if cfg.event_driven { "event-driven" } else { "full" },
         cfg.workers,
     );
     let connections = server.run();

@@ -166,7 +166,9 @@ pub struct ModelMetricsSnapshot {
     pub batch_fill: f64,
     /// Slab width (words) this model's most recent gate-level batch swept
     /// at — the narrowest holding that batch, up to the configured cap
-    /// (the `pe_lane_width_words` series).
+    /// (the `pe_lane_width_words` series). A level, not a history: see
+    /// [`ModelMetricsSnapshot::mean_lane_words`] for the width the sweeps
+    /// ran at on average.
     pub lane_width: u64,
     /// Bit-sliced sweeps executed.
     pub sweeps: u64,
@@ -184,8 +186,8 @@ pub struct ModelMetricsSnapshot {
     pub service_time: HistSnapshot,
     /// Total-latency histogram (submission → reply).
     pub latency: HistSnapshot,
-    /// Simulator profile totals (phase ns, sweeps, cell evals, event-driven
-    /// work) fed through [`pe_obs::SimProfile`].
+    /// Simulator profile totals (phase ns, sweeps, cell evals) fed through
+    /// [`pe_obs::SimProfile`].
     pub profile: ProfileSnapshot,
 }
 
@@ -361,8 +363,8 @@ impl Metrics {
     /// `pe_poll_*` — zero without a TCP server);
     /// per-model series carry the shard counters, the queue-wait /
     /// service-time / latency quantiles, and the simulator profile series
-    /// (phase nanoseconds, sweeps, cell evaluations, event-driven work,
-    /// cone-campaign counters). `pe_lane_width_words` is a level, not a
+    /// (phase nanoseconds, sweeps, cell evaluations, cone-campaign
+    /// counters). `pe_lane_width_words` is a level, not a
     /// counter: the slab width (in 64-lane words) the model's most recent
     /// gate-level batch swept at, which follows the batch size up to the
     /// configured cap ([`pe_sim::LaneWidth::for_batch`]).
@@ -433,13 +435,6 @@ impl Metrics {
             let _ = writeln!(out, "pe_sim_drive_ns_total{{model=\"{m}\"}} {}", p.drive_ns);
             let _ = writeln!(out, "pe_sim_eval_ns_total{{model=\"{m}\"}} {}", p.eval_ns);
             let _ = writeln!(out, "pe_sim_readout_ns_total{{model=\"{m}\"}} {}", p.readout_ns);
-            let _ =
-                writeln!(out, "pe_sim_event_batches_total{{model=\"{m}\"}} {}", p.event_batches);
-            let _ = writeln!(
-                out,
-                "pe_sim_event_cell_evals_total{{model=\"{m}\"}} {}",
-                p.event_cell_evals
-            );
             let _ = writeln!(out, "pe_sim_cone_chunks_total{{model=\"{m}\"}} {}", p.cone_chunks);
             let _ = writeln!(
                 out,
@@ -449,6 +444,22 @@ impl Metrics {
         }
         out.push_str("# EOF\n");
         out
+    }
+}
+
+impl ModelMetricsSnapshot {
+    /// Capacity-weighted mean slab width, in 64-lane words, over every
+    /// sweep so far: `sweep_capacity / (64 × sweeps)`. Unlike
+    /// [`ModelMetricsSnapshot::lane_width`], one ragged batch at the end of
+    /// a run does not hide the wide sweeps before it. Zero before the first
+    /// sweep.
+    #[must_use]
+    pub fn mean_lane_words(&self) -> f64 {
+        if self.sweeps == 0 {
+            0.0
+        } else {
+            self.sweep_capacity as f64 / (64 * self.sweeps) as f64
+        }
     }
 }
 
@@ -641,6 +652,21 @@ mod tests {
         assert_eq!(snap.lane_width, 0);
         assert_eq!(snap.sweeps, 0);
         assert_eq!(snap.lane_fill, 0.0);
+    }
+
+    #[test]
+    fn mean_lane_words_weights_every_sweep_by_its_capacity() {
+        // One full W8 sweep, then a ragged 3-request batch at W1: the gauge
+        // holds the last batch's width, the mean weighs both sweeps.
+        let shard = ModelMetrics::new();
+        assert_eq!(shard.snapshot(512).mean_lane_words(), 0.0);
+        shard.on_batch(512, 8, 0, 0);
+        shard.on_batch(3, 1, 0, 0);
+        let snap = shard.snapshot(512);
+        assert_eq!(snap.lane_width, 1);
+        assert_eq!(snap.sweeps, 2);
+        assert_eq!(snap.sweep_capacity, 512 + 64);
+        assert!((snap.mean_lane_words() - 4.5).abs() < 1e-12, "{}", snap.mean_lane_words());
     }
 
     #[test]

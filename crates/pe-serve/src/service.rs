@@ -35,9 +35,8 @@
 //!
 //! Any idle worker takes any ready key. Each worker keeps a **warm**
 //! [`pe_sim::WarmSimulator`] per key it has served — the slab engine's
-//! full state (including the event-driven worklist's clean/dirty flags)
-//! carries across that worker's batches of the key instead of being
-//! stamped out all-dirty per batch.
+//! full state (compiled sweep program, slabs, counters) carries across that
+//! worker's batches of the key instead of being rebuilt per batch.
 //!
 //! # Weighted-fair admission
 //!
@@ -119,12 +118,6 @@ pub struct ServiceConfig {
     /// gate-level batch sweeps at the narrowest slab that holds it, up to
     /// this cap ([`LaneWidth::for_batch`]).
     pub lane_width: Option<LaneWidth>,
-    /// Event-driven sweeps for gate-level batches: the slab engine only
-    /// re-evaluates cells whose input slabs changed, which pays off on
-    /// low-activity batches (repeated or near-constant feature rows) and is
-    /// bit-identical to the full-sweep default — predictions *and* toggle
-    /// accounting.
-    pub event_driven: bool,
     /// Bound on queued requests across all keys; beyond it `submit` blocks
     /// and `try_submit` rejects.
     pub queue_capacity: usize,
@@ -156,7 +149,6 @@ impl Default for ServiceConfig {
             mode: ServeMode::default(),
             batch_max: LANES,
             lane_width: None,
-            event_driven: false,
             queue_capacity: 4096,
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -682,8 +674,7 @@ impl fmt::Debug for Intake<'_> {
 
 fn worker_loop(shared: &Shared) {
     // The worker's warm-simulator cache: one engine per key this worker has
-    // served, carrying slab state (and the event-driven worklist) across
-    // batches. Dropped — and with it all carried state — when the worker
+    // served, carrying slab state across batches. Dropped — and with it all carried state — when the worker
     // exits at shutdown.
     let mut warm_sims: HashMap<ModelKey, WarmEntry> = HashMap::new();
     let mut in_flight =
@@ -755,14 +746,12 @@ fn run_one_batch(
         ServeMode::Gate | ServeMode::Verify => {
             // The warm path: reuse (or seed, first time) this worker's
             // long-lived slab engine for the key. Reattach is a pure move —
-            // no per-batch simulator construction, and the event-driven
-            // worklist keeps its clean state from the previous batch.
+            // no per-batch simulator construction.
             let warm = warm_sims.entry(key).or_insert_with(|| {
                 let mut sim = entry.simulator();
                 if let Some(w) = shared.cfg.lane_width {
                     sim.set_lane_width(w);
                 }
-                sim.set_event_driven(shared.cfg.event_driven);
                 if shared.cfg.sim_profile {
                     let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
                     sim.set_profile(Some(profile));
@@ -1101,11 +1090,10 @@ mod tests {
 
     #[test]
     fn warm_and_cold_serving_agree_with_the_golden_model() {
-        // The same repeated low-activity stream through a warm event-driven
-        // service and a warm dense one: replies identical to the integer
-        // model on both and zero verify mismatches (the real warm pin —
-        // identical toggle accounting — lives in the serving_equivalence
-        // suite).
+        // A repeated low-activity stream through a warm verify service:
+        // replies identical to the integer model and zero verify mismatches
+        // (the real warm pin — identical toggle accounting — lives in the
+        // serving_equivalence suite).
         let registry = test_registry();
         let key = cardio_seq();
         let entry = registry.get(key);
@@ -1113,30 +1101,19 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..96).map(|_| base.clone()).collect();
         let want: Vec<_> =
             xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
-        for event_driven in [true, false] {
-            let svc = Service::start(
-                Arc::clone(&registry),
-                ServiceConfig {
-                    mode: ServeMode::Verify,
-                    event_driven,
-                    workers: 1,
-                    ..ServiceConfig::default()
-                },
-            );
-            // Several rounds so the warm path actually carries state across
-            // run_batch calls.
-            for round in 0..3 {
-                assert_eq!(
-                    svc.classify_batch(key, &xs),
-                    want,
-                    "events={event_driven} round {round}"
-                );
-            }
-            let m = svc.metrics();
-            assert_eq!(m.verify_mismatches, 0, "events={event_driven}");
-            assert_eq!(m.served, 3 * 96);
-            svc.shutdown();
+        let svc = Service::start(
+            Arc::clone(&registry),
+            ServiceConfig { mode: ServeMode::Verify, workers: 1, ..ServiceConfig::default() },
+        );
+        // Several rounds so the warm path actually carries state across
+        // run_batch calls.
+        for round in 0..3 {
+            assert_eq!(svc.classify_batch(key, &xs), want, "round {round}");
         }
+        let m = svc.metrics();
+        assert_eq!(m.verify_mismatches, 0);
+        assert_eq!(m.served, 3 * 96);
+        svc.shutdown();
     }
 
     #[test]

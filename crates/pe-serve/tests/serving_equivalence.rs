@@ -9,10 +9,9 @@
 //! coalescing service (quantize → batch → simulate → reply) to the integer
 //! golden model.
 //!
-//! The low-activity tests cover the event-driven (dirty-cell worklist)
-//! sweep mode on its target traffic shape — repeated and near-constant
-//! feature rows — asserting zero verify mismatches through the service and
-//! bit-identical [`pe_sim::ToggleCounters`] against the full sweep.
+//! The warm-stream test feeds repeated and near-constant feature rows
+//! through the per-worker warm engine and pins its predictions *and*
+//! [`pe_sim::ToggleCounters`] to the scalar reference at every lane width.
 
 use pe_core::engine::NullSink;
 use pe_core::pipeline::RunOptions;
@@ -67,8 +66,7 @@ fn predict_int_matches_gate_level_across_the_table1_grid() {
 
 /// `n` low-activity request rows: one held-out sample repeated, with a
 /// single feature nudged every `period`-th row so the batch is *near*-
-/// constant rather than perfectly constant (both edges of the worklist's
-/// best case).
+/// constant rather than perfectly constant.
 fn low_activity_rows(entry: &pe_serve::ModelEntry, n: usize, period: usize) -> Vec<Vec<f64>> {
     let base = entry.sample_requests(1).remove(0);
     (0..n)
@@ -81,34 +79,6 @@ fn low_activity_rows(entry: &pe_serve::ModelEntry, n: usize, period: usize) -> V
             x
         })
         .collect()
-}
-
-#[test]
-fn event_driven_service_matches_full_sweep_on_low_activity_batches() {
-    // Two Verify-mode services over the same registry — one event-driven,
-    // one full-sweep — fed repeated / near-constant rows: replies must
-    // match the integer model on both, with zero verify mismatches.
-    let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
-    let keys = [ModelKey::parse("cardio:seq").unwrap(), ModelKey::parse("cardio:par").unwrap()];
-    registry.warm(&keys, pe_core::engine::default_threads(keys.len()), &mut NullSink);
-    let base = ServiceConfig { mode: ServeMode::Verify, ..ServiceConfig::default() };
-    let full = Service::start(Arc::clone(&registry), base.clone());
-    let events =
-        Service::start(Arc::clone(&registry), ServiceConfig { event_driven: true, ..base });
-    for &key in &keys {
-        let entry = registry.get(key);
-        for size in RAGGED_SIZES {
-            let xs = low_activity_rows(&entry, size, 17);
-            let want: Vec<_> =
-                xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
-            assert_eq!(full.classify_batch(key, &xs), want, "{} full sweep", key.token());
-            assert_eq!(events.classify_batch(key, &xs), want, "{} event-driven", key.token());
-        }
-    }
-    assert_eq!(full.metrics().verify_mismatches, 0);
-    assert_eq!(events.metrics().verify_mismatches, 0, "event-driven verify must never fire");
-    full.shutdown();
-    events.shutdown();
 }
 
 #[test]
@@ -234,21 +204,19 @@ fn concurrent_model_shards_stay_disjoint_and_merge_into_the_aggregate() {
 }
 
 #[test]
-fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
-    // The warm-state equivalence satellite: a worker's
-    // `WarmSimulator` carries event-driven dirty state *across* batches, so
-    // a long repeated-request stream must stay bit-identical — predictions
-    // AND toggle counters — to the same warm stream run dense, at every
-    // `LaneWidth`. Predictions are additionally pinned to fresh dense
-    // per-batch simulation and the integer golden model (a fresh engine
-    // starts from power-on reset, so its per-batch toggle *deltas* are the
-    // one thing that legitimately differs from a warm engine; see the
-    // `pe_sim::warm` module docs for the contract). The event-driven warm
-    // engine must also do strictly less work: fewer cell evaluations than
-    // its dense twin, which is the whole point of carrying dirty state.
+fn warm_stream_is_bit_identical_at_every_lane_width() {
+    // The warm-state equivalence pin: a worker's `WarmSimulator` carries
+    // slab state *across* batches, so a long repeated-request stream must
+    // stay bit-identical — predictions AND toggle counters — to a
+    // long-lived scalar reference, at every `LaneWidth`. Predictions are
+    // additionally pinned to fresh dense per-batch simulation and the
+    // integer golden model (a fresh engine starts from power-on reset, so
+    // its per-batch toggle *deltas* are the one thing that legitimately
+    // differs from a warm engine; see the `pe_sim::warm` module docs for
+    // the contract).
     //
     // `width` is the cap: each batch sweeps the narrowest slab holding it,
-    // so the sizes below switch the warm engines' slab width up and down
+    // so the sizes below switch the warm engine's slab width up and down
     // mid-stream. A long-lived scalar reference chunking at the cap pins
     // outputs, cycles and toggle counters across every switch.
     let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
@@ -264,28 +232,20 @@ fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
         .collect();
 
     for width in [LaneWidth::W1, LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
-        let mut warm_pair = [true, false].map(|events| {
+        let mut warm = {
             let mut sim = entry.simulator();
             sim.set_lane_width(width);
-            sim.set_event_driven(events);
             sim.enable_activity();
             sim.warm()
-        });
-        let [ref mut warm_ev, ref mut warm_dense] = warm_pair;
+        };
         let mut scalar = entry.simulator();
         scalar.set_batch_mode(BatchMode::Scalar);
         scalar.set_lane_width(width);
         scalar.enable_activity();
         for (b, vectors) in batches.iter().enumerate() {
-            let got = warm_ev.run_batch(&entry.netlist, vectors, entry.cycles_per_vector, "class");
+            let got = warm.run_batch(&entry.netlist, vectors, entry.cycles_per_vector, "class");
             let want = scalar.run_batch(vectors, entry.cycles_per_vector, "class");
-            assert_eq!(got, want, "{width:?} batch {b}: warm event-driven diverged from scalar");
-            let dense =
-                warm_dense.run_batch(&entry.netlist, vectors, entry.cycles_per_vector, "class");
-            assert_eq!(
-                got, dense,
-                "{width:?} batch {b}: warm event-driven diverged from warm dense"
-            );
+            assert_eq!(got, want, "{width:?} batch {b}: warm engine diverged from scalar");
             // Fresh dense per-batch simulation and the integer golden model
             // agree on every prediction.
             let fresh = {
@@ -303,58 +263,12 @@ fn warm_event_driven_stream_is_bit_identical_at_every_lane_width() {
             // Carried-state equivalence after every batch, not just at the
             // end: toggle counters over the worker's whole serving history.
             assert_eq!(
-                warm_ev.activity(),
-                warm_dense.activity(),
-                "{width:?} batch {b}: warm toggle counters diverged"
-            );
-            assert_eq!(
-                warm_ev.activity(),
+                warm.activity(),
                 scalar.activity(),
                 "{width:?} batch {b}: warm toggle counters diverged from scalar"
             );
         }
-        assert_eq!(warm_ev.batches(), batches.len() as u64);
-        assert_eq!(warm_ev.cycles(), scalar.cycles(), "{width:?}");
-        assert!(
-            warm_ev.cell_evals() < warm_dense.cell_evals(),
-            "{width:?}: event-driven carry-over must skip work ({} vs {} cell evals)",
-            warm_ev.cell_evals(),
-            warm_dense.cell_evals()
-        );
-    }
-}
-
-#[test]
-fn event_driven_toggle_counters_match_full_sweep_on_low_activity_batches() {
-    // The service doesn't surface per-net toggle counters, so the parity
-    // claim — event-driven sweeps keep the *activity accounting* of the
-    // dense sweep bit-identical, not just the classifications — is pinned
-    // on the entry's own simulator, over the exact batches the service
-    // would coalesce.
-    let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
-    let keys = [ModelKey::parse("cardio:seq").unwrap(), ModelKey::parse("cardio:par").unwrap()];
-    registry.warm(&keys, pe_core::engine::default_threads(keys.len()), &mut NullSink);
-    for &key in &keys {
-        let entry = registry.get(key);
-        for (size, period) in [(64usize, 64), (130, 17), (65, 1)] {
-            let vectors: Vec<Vec<i64>> = low_activity_rows(&entry, size, period)
-                .iter()
-                .map(|x| entry.quantize_input(x))
-                .collect();
-            let mut full = entry.simulator();
-            full.enable_activity();
-            let want = full.run_batch(&vectors, entry.cycles_per_vector, "class");
-            let mut ev = entry.simulator();
-            ev.set_event_driven(true);
-            ev.enable_activity();
-            let got = ev.run_batch(&vectors, entry.cycles_per_vector, "class");
-            assert_eq!(got, want, "{} size {size} outputs diverged", key.token());
-            assert_eq!(
-                ev.activity(),
-                full.activity(),
-                "{} size {size}: event-driven toggle counters diverged",
-                key.token()
-            );
-        }
+        assert_eq!(warm.batches(), batches.len() as u64);
+        assert_eq!(warm.cycles(), scalar.cycles(), "{width:?}");
     }
 }

@@ -17,10 +17,10 @@
 //! Construction compiles the levelized schedule into a flat program of
 //! 20-byte ops (cell kind, output net, three input nets, a *pinned* bit),
 //! combinational cells in topological order and then the registers. Every
-//! sweep — dense settles, event-driven worklist drains, cone passes over a
-//! chunk's filtered sub-program, and register updates — runs one per-op
-//! step over it, so no sweep chases cell ids into the netlist, and only
-//! ops whose output has pinned lanes read the forced-value slabs.
+//! sweep — dense settles, cone passes over a chunk's filtered sub-program,
+//! and register updates — runs one per-op step over it, so no sweep chases
+//! cell ids into the netlist, and only ops whose output has pinned lanes
+//! read the forced-value slabs.
 //!
 //! # Lane layout
 //!
@@ -307,16 +307,13 @@ pub struct BitSlicedSimulator<'nl, const W: usize = 1> {
     forced_vals: Vec<[u64; W]>,
     /// Combinational cell evaluations performed so far (each cell of each
     /// settle pass counts one, at every width — the work metric the
-    /// cone-scheduled and event-driven modes exist to shrink).
+    /// cone-scheduled mode exists to shrink).
     cell_evals: u64,
-    /// Dirty-cell worklist state when event-driven sweeps are enabled
-    /// ([`BitSlicedSimulator::set_event_driven`]); `None` runs full sweeps.
-    events: Option<Events>,
 }
 
 /// The owned state of a [`BitSlicedSimulator`] with the netlist borrow
 /// removed: schedule, slabs, register state, forced lanes, toggle counters,
-/// cycle/eval accounting and the event-driven worklist.
+/// and cycle/eval accounting.
 ///
 /// A `BitSlicedSimulator<'nl, W>` borrows its netlist, so it cannot live
 /// inside a struct that also owns the netlist (self-referential, and the
@@ -324,9 +321,8 @@ pub struct BitSlicedSimulator<'nl, const W: usize = 1> {
 /// [`BitSlicedSimulator::detach`] moves every field here,
 /// [`BitSlicedSimulator::reattach`] moves them back around any netlist of
 /// the same shape. Both directions are pure moves — no allocation, no
-/// re-settling, and crucially the worklist's clean/dirty flags survive, so
-/// event-driven sweeps keep their cross-batch savings. [`crate::warm`]
-/// builds the lifetime-free [`WarmSimulator`](crate::WarmSimulator) on top.
+/// re-settling. [`crate::warm`] builds the lifetime-free
+/// [`WarmSimulator`](crate::WarmSimulator) on top.
 #[derive(Debug)]
 pub struct DetachedSlab<const W: usize = 1> {
     num_nets: usize,
@@ -345,7 +341,6 @@ pub struct DetachedSlab<const W: usize = 1> {
     forced_mask: Vec<[u64; W]>,
     forced_vals: Vec<[u64; W]>,
     cell_evals: u64,
-    events: Option<Events>,
 }
 
 impl<const W: usize> DetachedSlab<W> {
@@ -362,16 +357,10 @@ impl<const W: usize> DetachedSlab<W> {
     }
 
     /// Combinational cell evaluations so far (carried across
-    /// detach/reattach) — the work metric warm event-driven serving shrinks.
+    /// detach/reattach).
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
         self.cell_evals
-    }
-
-    /// Whether the detached state runs event-driven sweeps when reattached.
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.events.is_some()
     }
 
     /// Snapshot of the switching activity accumulated so far.
@@ -390,9 +379,7 @@ impl<const W: usize> DetachedSlab<W> {
 
     /// Re-packs this state at slab width `V`. Between batches every slab is
     /// a broadcast of the carried serial value, so re-broadcasting it over
-    /// `V` words is exact; the program, op map, event worklist (its
-    /// clean/dirty flags stay valid: a clean op's broadcast output is its
-    /// evaluation of broadcast inputs at any width), toggle counters and
+    /// `V` words is exact; the program, op map, toggle counters and
     /// cycle/eval counts move across unchanged.
     ///
     /// # Panics
@@ -430,7 +417,6 @@ impl<const W: usize> DetachedSlab<W> {
             forced_mask: rebroadcast(self.forced_mask),
             forced_vals: rebroadcast(self.forced_vals),
             cell_evals: self.cell_evals,
-            events: self.events,
         }
     }
 }
@@ -494,110 +480,6 @@ enum Tally {
     /// bit), reproducing exactly the adjacent-vector toggle sequence of a
     /// serial loop across the whole slab.
     Serial,
-}
-
-/// Worklist bookkeeping of the event-driven sweep mode: instead of
-/// re-evaluating every combinational cell per settle pass, only cells at
-/// least one of whose input slabs changed since their last evaluation are
-/// visited, in topological-position order. Every site that mutates a net
-/// slab outside evaluation (input driving, forcing/releasing, register
-/// updates and resets, chunk collapse of partially forced nets) marks the
-/// net's sink cells dirty, which is what keeps the skip bit-exact — see the
-/// invariant on [`BitSlicedSimulator::set_event_driven`].
-#[derive(Debug)]
-struct Events {
-    /// `net.index()` → positions (into the program) of the net's
-    /// combinational sink ops.
-    sinks_of_net: Vec<Vec<u32>>,
-    /// Dirty-position bitmap: bit `p % 64` of word `p / 64` is set iff
-    /// position `p` is queued. Setting is idempotent, so marking needs no
-    /// dedup branch, and popping in ascending position is a trailing-zeros
-    /// scan — the heap this replaced cost `O(log n)` pointer-chasing per
-    /// push/pop, which at serving activity levels ate the sweep savings.
-    words: Vec<u64>,
-    /// One bit per `words` entry (`words[w] != 0`), so a pop touches at
-    /// most a couple of cache lines regardless of netlist size.
-    summary: Vec<u64>,
-    /// Lowest summary index that might be non-zero: pops advance it lazily,
-    /// marks pull it back. During a drain sinks are always downstream of
-    /// the popped cell, so this almost never moves backwards.
-    cursor: usize,
-}
-
-impl Events {
-    /// Worklist over the combinational ops `comb` (the program's prefix).
-    fn new(num_nets: usize, comb: &[Op]) -> Self {
-        let mut sinks_of_net: Vec<Vec<u32>> = vec![Vec::new(); num_nets];
-        for (p, op) in comb.iter().enumerate() {
-            for &inp in &op.ins {
-                let s = &mut sinks_of_net[inp as usize];
-                if s.last() != Some(&(p as u32)) {
-                    s.push(p as u32);
-                }
-            }
-        }
-        // Start all-dirty: the first settle is a full sweep, which makes
-        // enabling the mode safe in any simulator state.
-        let n = comb.len();
-        let mut words = vec![!0u64; n.div_ceil(64)];
-        if let Some(last) = words.last_mut() {
-            let tail = n % 64;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        let mut summary = vec![0u64; words.len().div_ceil(64).max(1)];
-        for (w, &word) in words.iter().enumerate() {
-            if word != 0 {
-                summary[w / 64] |= 1u64 << (w % 64);
-            }
-        }
-        Events { sinks_of_net, words, summary, cursor: 0 }
-    }
-
-    /// Queues one position (idempotent).
-    #[inline]
-    fn mark(&mut self, pos: u32) {
-        let p = pos as usize;
-        self.words[p / 64] |= 1u64 << (p % 64);
-        let s = p / 4096;
-        self.summary[s] |= 1u64 << ((p / 64) % 64);
-        if s < self.cursor {
-            self.cursor = s;
-        }
-    }
-
-    /// Queues every combinational sink of a net whose slab just changed.
-    #[inline]
-    fn mark_sinks(&mut self, net: usize) {
-        for i in 0..self.sinks_of_net[net].len() {
-            self.mark(self.sinks_of_net[net][i]);
-        }
-    }
-
-    /// Pops the lowest queued position, or `None` when the worklist is
-    /// drained. Ascending-position order guarantees a cell runs after every
-    /// dirty cell upstream of it, so one drain settles the core.
-    #[inline]
-    fn pop_min(&mut self) -> Option<u32> {
-        while self.cursor < self.summary.len() {
-            let s = self.summary[self.cursor];
-            if s == 0 {
-                self.cursor += 1;
-                continue;
-            }
-            let wi = self.cursor * 64 + s.trailing_zeros() as usize;
-            let word = self.words[wi];
-            let bit = word.trailing_zeros() as usize;
-            let rest = word & (word - 1);
-            self.words[wi] = rest;
-            if rest == 0 {
-                self.summary[self.cursor] &= !(1u64 << (wi % 64));
-            }
-            return Some((wi * 64 + bit) as u32);
-        }
-        None
-    }
 }
 
 /// The per-chunk cone schedule of a cone-scheduled PPSFP sweep: the
@@ -724,15 +606,14 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             forced_mask: vec![[0; W]; nl.num_nets()],
             forced_vals: vec![[0; W]; nl.num_nets()],
             cell_evals: 0,
-            events: None,
         }
     }
 
     /// Combinational cell evaluations performed since construction: each
     /// cell visited by each settle pass counts one, regardless of width.
     /// Full sweeps evaluate the whole scheduled core per pass; the
-    /// cone-scheduled and event-driven modes exist to make this counter
-    /// grow slower at identical outputs.
+    /// cone-scheduled mode exists to make this counter grow slower at
+    /// identical outputs.
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
         self.cell_evals
@@ -742,35 +623,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     #[must_use]
     pub fn scheduled_cells(&self) -> usize {
         self.order.len()
-    }
-
-    /// Switches the engine between full topological sweeps (the default)
-    /// and **event-driven** sweeps: a dirty-cell worklist that only
-    /// re-evaluates cells whose input slabs changed since their last
-    /// evaluation, popping in topological-position order.
-    ///
-    /// The skip is bit-exact — outputs *and* toggle accounting — because the
-    /// engine maintains the invariant *clean cell ⇒ stored output slab ==
-    /// forced-merge(eval(stored input slabs))*: every mutation outside
-    /// evaluation (driving inputs, forcing/releasing nets, register updates
-    /// and resets, collapsing chunks with partially forced nets) marks the
-    /// affected sinks dirty. Enabling starts all-dirty, so the first settle
-    /// is one full sweep and the mode is safe to flip in any state. The
-    /// payoff is proportional to batch inactivity: repeated or near-constant
-    /// vectors leave most of the core clean.
-    pub fn set_event_driven(&mut self, on: bool) {
-        if on {
-            let comb = &self.prog[..self.order.len()];
-            self.events = Some(Events::new(self.nl.num_nets(), comb));
-        } else {
-            self.events = None;
-        }
-    }
-
-    /// Whether event-driven sweeps are enabled.
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.events.is_some()
     }
 
     /// The netlist under simulation.
@@ -836,7 +688,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// stuck-at-1 sites packed into one chunk) accumulates.
     pub fn force_lanes(&mut self, net: pe_netlist::NetId, values: [u64; W], mask: [u64; W]) {
         let i = net.index();
-        let old = self.words[i];
         for w in 0..W {
             self.forced_mask[i][w] |= mask[w];
             self.forced_vals[i][w] = (self.forced_vals[i][w] & !mask[w]) | (values[w] & mask[w]);
@@ -847,7 +698,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 self.state[r][w] = (self.state[r][w] & !mask[w]) | (values[w] & mask[w]);
             }
         }
-        self.repinned(i, old);
+        self.sync_pinned(i);
     }
 
     /// Releases a pinned net in every lane (its next evaluation recomputes
@@ -861,7 +712,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         if self.forced_mask[i] == [0; W] {
             return;
         }
-        let old = self.words[i];
         self.forced_mask[i] = [0; W];
         self.forced_vals[i] = [0; W];
         if let Some(r) = self.reg_of_net(i) {
@@ -869,7 +719,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             self.state[r] = init;
             self.words[i] = init;
         }
-        self.repinned(i, old);
+        self.sync_pinned(i);
     }
 
     /// The register index (into `regs`/`state`) driving net `i`, if any.
@@ -882,23 +732,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     fn sync_pinned(&mut self, i: usize) {
         if let Some(op) = self.prog.get_mut(self.op_of_net[i] as usize) {
             op.pinned = self.forced_mask[i] != [0; W];
-        }
-    }
-
-    /// Bookkeeping after net `i`'s pinned lanes changed (its slab was `old`
-    /// before): syncs the driving op's pinned bit and, in event mode,
-    /// requeues the driver — a pin overrides the net's own evaluation and a
-    /// release hands it back — plus the sinks if the slab moved.
-    fn repinned(&mut self, i: usize, old: [u64; W]) {
-        self.sync_pinned(i);
-        if let Some(ev) = &mut self.events {
-            let p = self.op_of_net[i];
-            if (p as usize) < self.order.len() {
-                ev.mark(p);
-            }
-            if self.words[i] != old {
-                ev.mark_sinks(i);
-            }
         }
     }
 
@@ -937,11 +770,9 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// Splits the simulator into its owned state, dropping the netlist
     /// borrow — the storage half of the **warm-simulator** pattern (see
     /// [`crate::warm`]). Everything moves: slabs, register state, forced
-    /// lanes, toggle counters, cycle/eval accounting *and* the event-driven
-    /// worklist, so a later [`BitSlicedSimulator::reattach`] resumes exactly
-    /// where this simulator left off — including which cells are still
-    /// clean, which is what lets a serving worker skip re-settling state
-    /// that did not change between batches.
+    /// lanes, toggle counters and cycle/eval accounting, so a later
+    /// [`BitSlicedSimulator::reattach`] resumes exactly where this simulator
+    /// left off.
     #[must_use]
     pub fn detach(self) -> DetachedSlab<W> {
         DetachedSlab {
@@ -961,7 +792,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             forced_mask: self.forced_mask,
             forced_vals: self.forced_vals,
             cell_evals: self.cell_evals,
-            events: self.events,
         }
     }
 
@@ -1004,7 +834,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             forced_mask: slab.forced_mask,
             forced_vals: slab.forced_vals,
             cell_evals: slab.cell_evals,
-            events: slab.events,
         }
     }
 
@@ -1012,24 +841,22 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
 
     /// The one per-op step every sweep runs: evaluate a combinational op
     /// over the current slabs with the packed kernel and commit the result.
-    /// Returns whether the output slab changed.
     #[inline(always)]
-    fn step(&mut self, op: &Op, mask: &[u64; W], tally: Tally) -> bool {
+    fn step(&mut self, op: &Op, mask: &[u64; W], tally: Tally) {
         let w = &self.words;
         let new = op.kind.eval_packed_wide::<W>(
             &w[op.ins[0] as usize],
             &w[op.ins[1] as usize],
             &w[op.ins[2] as usize],
         );
-        self.commit(op, new, mask, tally)
+        self.commit(op, new, mask, tally);
     }
 
     /// Writes an op's freshly computed slab: pinned lanes re-merged (pinned
     /// ops only), toggles tallied per `tally` against the stored slab
-    /// (masked, so ragged lanes never leak into activity). Returns whether
-    /// the slab changed.
+    /// (masked, so ragged lanes never leak into activity).
     #[inline(always)]
-    fn commit(&mut self, op: &Op, mut new: [u64; W], mask: &[u64; W], tally: Tally) -> bool {
+    fn commit(&mut self, op: &Op, mut new: [u64; W], mask: &[u64; W], tally: Tally) {
         let out = op.out as usize;
         if op.pinned {
             let (fm, fv) = (&self.forced_mask[out], &self.forced_vals[out]);
@@ -1056,7 +883,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 self.toggles.bump_packed_wide(out, &diff);
             }
         }
-        new != old
     }
 
     /// The toggle accounting of a settle pass (see [`Tally`]).
@@ -1068,31 +894,12 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         }
     }
 
-    /// One lane-parallel settle pass. A dense pass steps every
-    /// combinational op in program order; event mode drains the dirty
-    /// worklist in ascending program position instead, re-queueing the
-    /// sinks of every changed output. `serial` selects serial toggle
-    /// accounting ([`Tally::Serial`], for combinational batches) over the
-    /// per-lane slab difference.
-    ///
-    /// Skipping a clean op is exact under both toggle formulas: clean means
-    /// its recomputation would reproduce the stored slab, so the
-    /// slab-difference contribution is zero; and between chunks every slab
-    /// is a broadcast, so the serial formula over an unchanged broadcast is
-    /// zero as well.
+    /// One lane-parallel settle pass: steps every combinational op in
+    /// program order. `serial` selects serial toggle accounting
+    /// ([`Tally::Serial`], for combinational batches) over the per-lane slab
+    /// difference.
     fn settle(&mut self, mask: &[u64; W], serial: bool) {
         let tally = self.tally(serial);
-        if let Some(mut ev) = self.events.take() {
-            while let Some(p) = ev.pop_min() {
-                let op = self.prog[p as usize];
-                self.cell_evals += 1;
-                if self.step(&op, mask, tally) {
-                    ev.mark_sinks(op.out as usize);
-                }
-            }
-            self.events = Some(ev);
-            return;
-        }
         let n = self.order.len();
         for p in 0..n {
             let op = self.prog[p];
@@ -1119,11 +926,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         }
         for i in regs {
             let op = self.prog[base + i];
-            if self.commit(&op, self.next_scratch[i], mask, tally) {
-                if let Some(ev) = &mut self.events {
-                    ev.mark_sinks(op.out as usize);
-                }
-            }
+            self.commit(&op, self.next_scratch[i], mask, tally);
             self.state[i] = self.words[op.out as usize];
         }
     }
@@ -1162,16 +965,10 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             let init = broadcast(cell.init());
             let fm = &self.forced_mask[out];
             let fv = &self.forced_vals[out];
-            let old = self.words[out];
             for w in 0..W {
                 self.state[i][w] = (init & !fm[w]) | (fv[w] & fm[w]);
             }
             self.words[out] = self.state[i];
-            if self.words[out] != old {
-                if let Some(ev) = &mut self.events {
-                    ev.mark_sinks(out);
-                }
-            }
         }
     }
 
@@ -1188,24 +985,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             let fv = &self.forced_vals[i];
             for k in 0..W {
                 w[k] = (b & !fm[k]) | (fv[k] & fm[k]);
-            }
-        }
-        // Collapsing preserves the clean-cell invariant lane-wise: every net
-        // becomes the broadcast of lane `lane`, and a clean cell's broadcast
-        // output is exactly its evaluation of the broadcast inputs — except
-        // where a *partially* forced net mixes the pinned value into the
-        // collapsed lane. Those nets (never present on the serving path,
-        // which only pins whole nets) get their driver and sinks re-queued.
-        if let Some(ev) = &mut self.events {
-            for (i, fm) in self.forced_mask.iter().enumerate() {
-                if *fm == [0; W] || *fm == [!0; W] {
-                    continue;
-                }
-                let p = self.op_of_net[i];
-                if (p as usize) < self.order.len() {
-                    ev.mark(p);
-                }
-                ev.mark_sinks(i);
             }
         }
         for (r, s) in self.state.iter_mut().enumerate() {
@@ -1247,12 +1026,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             for (l, &v) in values.iter().enumerate() {
                 slab[l / LANES] |= (((v >> j) & 1) as u64) << (l % LANES);
             }
-            if self.words[net.index()] != slab {
-                self.words[net.index()] = slab;
-                if let Some(ev) = &mut self.events {
-                    ev.mark_sinks(net.index());
-                }
-            }
+            self.words[net.index()] = slab;
         }
     }
 
@@ -1305,16 +1079,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     fn drive_port_lanes(&mut self, chunk: &[Vec<(String, i64)>]) {
         let first = &chunk[0];
         let ports = self.resolve_entry_ports(first);
-        // Event mode needs before/after comparison: the fill below is
-        // zero-then-OR, so the old slabs are snapshotted first.
-        let old: Vec<(usize, [u64; W])> = if self.events.is_some() {
-            ports
-                .iter()
-                .flat_map(|(_, nets, _, _)| nets.iter().map(|n| (n.index(), self.words[n.index()])))
-                .collect()
-        } else {
-            Vec::new()
-        };
         for (_, nets, _, _) in &ports {
             for &net in nets {
                 self.words[net.index()] = [0; W];
@@ -1336,13 +1100,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 assert!(*v >= min && *v <= max, "value {v} does not fit port {p}");
                 for (j, &net) in nets.iter().enumerate() {
                     self.words[net.index()][wi] |= (((v >> j) & 1) as u64) << bi;
-                }
-            }
-        }
-        if let Some(ev) = &mut self.events {
-            for (i, before) in old {
-                if self.words[i] != before {
-                    ev.mark_sinks(i);
                 }
             }
         }
@@ -1437,7 +1194,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
                 drive_ns,
                 eval_ns,
                 readout_ns,
-                event_driven: self.events.is_some(),
             });
         }
         BatchResult { outputs, cycles: self.cycles - start_cycles }
@@ -1660,10 +1416,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             !self.toggles.is_enabled(),
             "PPSFP lanes hold different machines; activity accounting is undefined"
         );
-        assert!(
-            self.events.is_none(),
-            "PPSFP campaigns drive their own sweep schedule; disable event mode"
-        );
         assert!(golden.len() >= workload.len(), "golden response shorter than the workload");
         if workload.is_empty() || watch == [0; W] {
             return [0; W];
@@ -1828,10 +1580,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
             !self.toggles.is_enabled(),
             "PPSFP lanes hold different machines; activity accounting is undefined"
         );
-        assert!(
-            self.events.is_none(),
-            "PPSFP campaigns drive their own sweep schedule; disable event mode"
-        );
         assert!(golden.len() >= traj.entries(), "golden response shorter than the workload");
         if traj.entries() == 0 || watch == [0; W] {
             return [0; W];
@@ -1937,19 +1685,6 @@ mod tests {
         assert_eq!(s.sweeps, 3, "150 vectors at W1 = three 64-lane sweeps");
         assert_eq!(s.cycles, got.cycles);
         assert!(s.cell_evals > 0, "a comb settle spends cell evaluations");
-        assert_eq!(s.event_batches, 0);
-
-        // Event-driven batches are flagged, and their cell evaluations land
-        // in the dirty-cell accumulator.
-        let mut ev = Simulator::new(&nl).unwrap();
-        ev.set_event_driven(true);
-        ev.set_profile(Some(rec.clone()));
-        let got_ev = ev.run_batch(&vectors, 0, "sum");
-        assert_eq!(got_ev, want);
-        let s2 = rec.snapshot();
-        assert_eq!(s2.batches, 2);
-        assert_eq!(s2.event_batches, 1);
-        assert!(s2.event_cell_evals > 0);
     }
 
     #[test]
@@ -2250,101 +1985,6 @@ mod tests {
         scalar.tick();
         let want = scalar.run_batch(&vectors, 1, "q");
         assert_eq!(got.outputs, want.outputs);
-    }
-
-    #[test]
-    fn event_driven_batch_matches_full_sweep_exactly() {
-        // Outputs *and* serial toggle accounting must be bit-identical
-        // between the worklist sweep and the dense sweep, comb and seq,
-        // at narrow and wide slab widths.
-        let comb = full_adder_x();
-        let comb_vectors: Vec<Vec<i64>> =
-            (0..8).map(|v| (0..3).map(|i| (v >> i) & 1).collect()).collect();
-        let mut b = Builder::new("tog");
-        let x0 = b.input("x0");
-        let x1 = b.input("x1");
-        let nxt = b.xor2(x0, x1);
-        let q = b.dff(nxt, false);
-        b.output("q", q);
-        let seq = b.finish();
-        let seq_vectors = vec![vec![1, 0], vec![1, 1], vec![0, 0], vec![0, 1]];
-        macro_rules! check {
-            ($w:literal) => {
-                let mut full = BitSlicedSimulator::<'_, $w>::new(&comb).unwrap();
-                full.enable_activity();
-                let want = full.run_batch(&comb_vectors, 0, "sum");
-                let mut ev = BitSlicedSimulator::<'_, $w>::new(&comb).unwrap();
-                ev.set_event_driven(true);
-                ev.enable_activity();
-                let got = ev.run_batch(&comb_vectors, 0, "sum");
-                assert_eq!(got, want, "W={} comb diverged", $w);
-                assert_eq!(ev.activity(), full.activity(), "W={} comb toggles diverged", $w);
-
-                let mut full = BitSlicedSimulator::<'_, $w>::new(&seq).unwrap();
-                full.enable_activity();
-                let want = full.run_batch(&seq_vectors, 2, "q");
-                let mut ev = BitSlicedSimulator::<'_, $w>::new(&seq).unwrap();
-                ev.set_event_driven(true);
-                ev.enable_activity();
-                let got = ev.run_batch(&seq_vectors, 2, "q");
-                assert_eq!(got, want, "W={} seq diverged", $w);
-                assert_eq!(ev.activity(), full.activity(), "W={} seq toggles diverged", $w);
-            };
-        }
-        check!(1);
-        check!(2);
-        check!(8);
-    }
-
-    #[test]
-    fn event_driven_skips_clean_cells_on_repeated_batches() {
-        // The first batch dirties everything (cold start); an identical
-        // second batch leaves every input slab unchanged, so the worklist
-        // must drain without re-evaluating the whole netlist.
-        let nl = full_adder_x();
-        let vectors = vec![vec![1, 0, 1]; 5];
-        let mut ev: BitSlicedSimulator<'_> = BitSlicedSimulator::new(&nl).unwrap();
-        ev.set_event_driven(true);
-        let first = ev.run_batch(&vectors, 0, "sum");
-        let after_first = ev.cell_evals();
-        let second = ev.run_batch(&vectors, 0, "sum");
-        let delta = ev.cell_evals() - after_first;
-        assert_eq!(first.outputs, second.outputs);
-        assert!(
-            delta < after_first,
-            "repeat batch re-evaluated {delta} cells, cold start took {after_first}"
-        );
-
-        let mut full: BitSlicedSimulator<'_> = BitSlicedSimulator::new(&nl).unwrap();
-        full.run_batch(&vectors, 0, "sum");
-        assert_eq!(after_first, full.cell_evals(), "cold start must cost a full sweep");
-    }
-
-    #[test]
-    fn event_driven_tracks_force_and_release() {
-        // force_lanes / release_net mutate net slabs behind the scheduler's
-        // back; both must dirty the affected fanout so a worklist sweep
-        // still agrees with a dense sweep.
-        let nl = full_adder_x();
-        let site = crate::faults::enumerate_fault_sites(&nl)[0];
-        let vectors: Vec<Vec<i64>> =
-            (0..8).map(|v| (0..3).map(|i| (v >> i) & 1).collect()).collect();
-
-        let mut full = BitSlicedSimulator::<'_, 2>::new(&nl).unwrap();
-        full.force_net(site.net, true);
-        let want_forced = full.run_batch(&vectors, 0, "sum");
-        full.release_net(site.net);
-        let want_healed = full.run_batch(&vectors, 0, "sum");
-
-        let mut ev = BitSlicedSimulator::<'_, 2>::new(&nl).unwrap();
-        ev.set_event_driven(true);
-        // Warm up so the net slabs are settled (worklist empty), *then*
-        // inject the fault: the force itself must wake the fanout.
-        ev.run_batch(&vectors, 0, "sum");
-        ev.force_net(site.net, true);
-        assert_eq!(ev.run_batch(&vectors, 0, "sum"), want_forced);
-        ev.release_net(site.net);
-        assert_eq!(ev.run_batch(&vectors, 0, "sum"), want_healed);
     }
 
     #[test]

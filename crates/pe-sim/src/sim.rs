@@ -116,9 +116,6 @@ pub struct Simulator<'nl> {
     /// contract, so *both* engines honor it — the scalar reference chunks
     /// by the same effective lane count.
     lane_width: LaneWidth,
-    /// Event-driven sweeps for bit-sliced batches (see
-    /// [`Simulator::set_event_driven`]).
-    event_driven: bool,
     /// Observability hook fed once per bit-sliced batch (see
     /// [`Simulator::set_profile`]); `None` skips all phase clocks.
     profile: Option<std::sync::Arc<dyn SimProfile>>,
@@ -185,7 +182,6 @@ impl<'nl> Simulator<'nl> {
             frozen: vec![false; nl.num_nets()],
             batch_mode: BatchMode::default(),
             lane_width: LaneWidth::default(),
-            event_driven: false,
             profile: None,
         };
         sim.reset();
@@ -210,13 +206,12 @@ impl<'nl> Simulator<'nl> {
 
     /// Seeds a lifetime-free [`WarmSimulator`](crate::WarmSimulator) from
     /// this simulator's schedule, settled state and configuration
-    /// (lane width, event-driven mode, activity tracking, profile hook).
+    /// (lane width, activity tracking, profile hook).
     ///
     /// Where [`Simulator::run_batch`] stamps out a fresh slab engine per
-    /// call — restarting the event-driven worklist all-dirty every time —
-    /// the warm simulator keeps the engine's state *across* batches, which
-    /// is what lets serving workers finally collect the worklist's savings
-    /// on low-activity request streams. Holding no netlist borrow, it can
+    /// call — copying every net and register into new slabs — the warm
+    /// simulator keeps the engine's state *across* batches. Holding no
+    /// netlist borrow, it can
     /// live inside the same struct (or thread) that owns the netlist; pass
     /// the netlist back in on every
     /// [`run_batch`](crate::WarmSimulator::run_batch) call.
@@ -229,7 +224,6 @@ impl<'nl> Simulator<'nl> {
             self.state.clone(),
             self.frozen.clone(),
             self.lane_width,
-            self.event_driven,
             self.toggles.is_enabled(),
             self.profile.clone(),
         )
@@ -264,22 +258,6 @@ impl<'nl> Simulator<'nl> {
     #[must_use]
     pub fn lane_width(&self) -> LaneWidth {
         self.lane_width
-    }
-
-    /// Enables **event-driven** sweeps for bit-sliced batches: the slab
-    /// engine only re-evaluates cells whose input slabs changed since their
-    /// last evaluation ([`BitSlicedSimulator::set_event_driven`]), which pays
-    /// off on low-activity batches (repeated or near-constant vectors) and is
-    /// bit-identical — outputs, cycles, toggle accounting — to the full-sweep
-    /// default. Ignored under [`BatchMode::Scalar`].
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = on;
-    }
-
-    /// Whether bit-sliced batches run event-driven.
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
     }
 
     /// Installs an observability hook fed once per bit-sliced batch with the
@@ -651,9 +629,6 @@ impl<'nl> Simulator<'nl> {
             &self.frozen,
             track,
         );
-        if self.event_driven {
-            sliced.set_event_driven(true);
-        }
         let result = sliced.run_batch_profiled(
             vectors,
             cycles_per_vector,

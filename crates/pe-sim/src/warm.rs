@@ -1,28 +1,23 @@
 //! Lifetime-free **warm** simulators for long-lived serving workers.
 //!
-//! The serving path's economics problem:
 //! [`Simulator::run_batch`](crate::Simulator::run_batch) constructs a fresh
-//! [`BitSlicedSimulator`] per call, and a fresh engine starts its
-//! event-driven worklist *all-dirty* — the first settle of every batch is a
-//! full sweep, so the worklist pays its bookkeeping overhead without ever
-//! collecting its savings. That is exactly why event-driven serving *lost*
-//! throughput on `pendigits:seq` while winning >70% of cell evaluations in
-//! fault campaigns, where one engine lives across the whole campaign.
+//! [`BitSlicedSimulator`] per call: it compiles the sweep program, allocates
+//! every slab and broadcasts the scalar carry into it, then copies the carry
+//! back out when the batch ends. A serving worker that answers batch after
+//! batch of the same model pays that setup every time.
 //!
-//! [`WarmSimulator`] is the fix: it owns the slab engine's detached state
-//! ([`DetachedSlab`]) across batches and reattaches it to the netlist only
-//! for the duration of each [`WarmSimulator::run_batch`] call. Because the
-//! struct holds **no netlist borrow**, a worker thread can keep one per
-//! model right next to the `Arc` that owns the netlist — the
+//! [`WarmSimulator`] keeps the slab engine instead: it owns the engine's
+//! detached state ([`DetachedSlab`]) across batches and reattaches it to the
+//! netlist only for the duration of each [`WarmSimulator::run_batch`] call.
+//! Because the struct holds **no netlist borrow**, a worker thread can keep
+//! one per model right next to the `Arc` that owns the netlist — the
 //! self-referential layout a borrowing `Simulator<'nl>` cannot express
 //! without `unsafe` (which the workspace forbids).
 //!
 //! What carries across batches:
 //!
 //! * net value and register-state slabs (collapsed to the serial carry),
-//! * the event-driven worklist's clean/dirty flags — a repeated or
-//!   near-constant request stream re-dirties only the cells downstream of
-//!   the inputs that actually changed *since the previous batch*,
+//! * the compiled sweep program and net → op map,
 //! * toggle counters and cycle/eval accounting (so activity reports span
 //!   the worker's whole serving history, like a long-lived dense
 //!   [`Simulator`](crate::Simulator)),
@@ -46,9 +41,7 @@
 //! [`Simulator`](crate::Simulator) fed the same batches at the same
 //! configured [`LaneWidth`]: the slabs
 //! between batches are broadcasts of the carried serial state either way,
-//! and the event-driven worklist's exactness invariant (see
-//! [`BitSlicedSimulator::set_event_driven`]) makes the skip lossless.
-//! Against *fresh-per-batch* simulation the predictions still match for the
+//! and both sweep every cell densely. Against *fresh-per-batch* simulation the predictions still match for the
 //! paper's classifier datapaths (control returns to idle after every
 //! inference), but per-batch toggle deltas differ on the entry settle —
 //! the warm engine starts each batch from carried state, a fresh engine
@@ -133,7 +126,6 @@ pub struct WarmSimulator {
     /// The detached engine between batches; `None` before the first batch.
     slab: Option<WarmSlab>,
     lane_width: LaneWidth,
-    event_driven: bool,
     track_activity: bool,
     profile: Option<Arc<dyn SimProfile>>,
     batches: u64,
@@ -150,7 +142,6 @@ impl WarmSimulator {
         state: Vec<bool>,
         frozen: Vec<bool>,
         lane_width: LaneWidth,
-        event_driven: bool,
         track_activity: bool,
         profile: Option<Arc<dyn SimProfile>>,
     ) -> Self {
@@ -158,7 +149,6 @@ impl WarmSimulator {
             seed: Some(Seed { order, regs, values, state, frozen }),
             slab: None,
             lane_width,
-            event_driven,
             track_activity,
             profile,
             batches: 0,
@@ -167,8 +157,7 @@ impl WarmSimulator {
 
     /// Runs one batch with the same contract as
     /// [`Simulator::run_batch`](crate::Simulator::run_batch), carrying the
-    /// engine's full state (including event-driven clean/dirty flags) from
-    /// the previous call. `nl` must be the netlist the seeding simulator
+    /// engine's full state from the previous call. `nl` must be the netlist the seeding simulator
     /// was built over — the caller keeps it alive next to this struct,
     /// typically inside the same `Arc`ed model entry.
     ///
@@ -192,7 +181,7 @@ impl WarmSimulator {
                     Some(other) => BitSlicedSimulator::reattach(nl, other.rewidth()),
                     None => {
                         let seed = self.seed.take().expect("no slab means the seed is intact");
-                        let mut sim = BitSlicedSimulator::<'_, $W>::from_parts(
+                        BitSlicedSimulator::<'_, $W>::from_parts(
                             nl,
                             seed.order,
                             seed.regs,
@@ -200,11 +189,7 @@ impl WarmSimulator {
                             &seed.state,
                             &seed.frozen,
                             self.track_activity,
-                        );
-                        if self.event_driven {
-                            sim.set_event_driven(true);
-                        }
-                        sim
+                        )
                     }
                 };
                 let result = sim.run_batch_profiled(
@@ -239,12 +224,6 @@ impl WarmSimulator {
         self.lane_width
     }
 
-    /// Whether batches run event-driven (fixed at construction).
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
-    }
-
     /// Batches served since construction.
     #[must_use]
     pub fn batches(&self) -> u64 {
@@ -257,11 +236,8 @@ impl WarmSimulator {
         self.slab.as_ref().map_or(0, WarmSlab::cycles)
     }
 
-    /// Combinational cell evaluations across every batch so far. Dividing
-    /// by batches served is the headline warm-event-driven payoff metric:
-    /// a cold engine pays `scheduled_cells × sweeps` per batch, a warm
-    /// event-driven one only re-evaluates what the traffic actually
-    /// changed.
+    /// Combinational cell evaluations across every batch so far
+    /// (`scheduled_cells` per settle pass).
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
         self.slab.as_ref().map_or(0, WarmSlab::cell_evals)
@@ -312,8 +288,7 @@ mod tests {
     }
 
     /// A low-activity stream split into several ragged batches: mostly
-    /// repeated vectors with occasional changes — the event-driven
-    /// worklist's target traffic shape.
+    /// repeated vectors with occasional changes.
     fn low_activity_batches() -> Vec<Vec<Vec<i64>>> {
         let mut batches = Vec::new();
         for (size, period) in [(70usize, 9usize), (64, 64), (3, 1), (130, 17)] {
@@ -334,56 +309,26 @@ mod tests {
         // The module's equivalence contract: a warm simulator fed a stream
         // of batches is bit-identical — outputs, cycles, toggle counters —
         // to one long-lived dense Simulator fed the same batches, at every
-        // width, with the event-driven worklist carrying dirty state across
-        // batches on the warm side.
+        // width.
         let nl = toggle_reg();
         for width in [LaneWidth::W1, LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
-            for events in [false, true] {
-                let mut dense = Simulator::new(&nl).unwrap();
-                dense.set_lane_width(width);
-                dense.enable_activity();
-                let mut seed = Simulator::new(&nl).unwrap();
-                seed.set_lane_width(width);
-                seed.set_event_driven(events);
-                seed.enable_activity();
-                let mut warm = seed.warm();
-                assert_eq!(warm.lane_width(), width);
-                assert_eq!(warm.event_driven(), events);
-                for (i, batch) in low_activity_batches().iter().enumerate() {
-                    let want = dense.run_batch(batch, 2, "q");
-                    let got = warm.run_batch(&nl, batch, 2, "q");
-                    assert_eq!(got, want, "{width} events={events} batch {i} diverged");
-                }
-                assert_eq!(warm.batches(), 4);
-                assert_eq!(warm.cycles(), dense.cycles(), "{width} events={events}");
-                assert_eq!(warm.activity(), dense.activity(), "{width} events={events} toggles");
+            let mut dense = Simulator::new(&nl).unwrap();
+            dense.set_lane_width(width);
+            dense.enable_activity();
+            let mut seed = Simulator::new(&nl).unwrap();
+            seed.set_lane_width(width);
+            seed.enable_activity();
+            let mut warm = seed.warm();
+            assert_eq!(warm.lane_width(), width);
+            for (i, batch) in low_activity_batches().iter().enumerate() {
+                let want = dense.run_batch(batch, 2, "q");
+                let got = warm.run_batch(&nl, batch, 2, "q");
+                assert_eq!(got, want, "{width} batch {i} diverged");
             }
+            assert_eq!(warm.batches(), 4);
+            assert_eq!(warm.cycles(), dense.cycles(), "{width}");
+            assert_eq!(warm.activity(), dense.activity(), "{width} toggles");
         }
-    }
-
-    #[test]
-    fn warm_event_driven_saves_cell_evals_on_repeated_batches() {
-        // The economic pin: over a stream of *identical* batches the warm
-        // event-driven engine must evaluate strictly fewer cells than the
-        // warm dense engine — the first batch sweeps (all-dirty start), the
-        // rest ride the carried clean state.
-        let nl = toggle_reg();
-        let batch: Vec<Vec<i64>> = (0..64).map(|_| vec![1, 0]).collect();
-        let mut dense = Simulator::new(&nl).unwrap().warm();
-        let mut seed = Simulator::new(&nl).unwrap();
-        seed.set_event_driven(true);
-        let mut events = seed.warm();
-        for _ in 0..8 {
-            let want = dense.run_batch(&nl, &batch, 2, "q");
-            let got = events.run_batch(&nl, &batch, 2, "q");
-            assert_eq!(got, want);
-        }
-        assert!(
-            events.cell_evals() < dense.cell_evals(),
-            "warm event-driven must skip work on repeated batches: {} vs {} evals",
-            events.cell_evals(),
-            dense.cell_evals()
-        );
     }
 
     #[test]

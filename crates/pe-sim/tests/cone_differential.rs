@@ -1,5 +1,5 @@
 //! Differential lockdown of the fanout-cone precomputation and the
-//! event-driven (dirty-cell worklist) sweep mode.
+//! bit-sliced batch sweep.
 //!
 //! The cone-scheduled PPSFP path trusts [`FanoutCones::cone`] completely:
 //! any cell the structural cone misses is a cell the campaign never
@@ -11,9 +11,10 @@
 //! and every clock tick — a net that differs must be the pinned root or
 //! the output of a cone cell.
 //!
-//! The second half locks the event-driven sweep to the dense sweep at the
-//! `run_batch` level: identical outputs *and* identical toggle accounting
-//! on scalar / full / event-driven engines at every slab width.
+//! The second half locks the bit-sliced sweep to the scalar reference at
+//! the `run_batch` level: identical outputs *and* identical toggle
+//! accounting at every slab width, on random netlists and on low-activity
+//! (repeated and near-constant) streams.
 //!
 //! Deliberately proptest-free: seeded xorshift workloads, exhaustive net
 //! enumeration, zero external dependencies.
@@ -161,63 +162,52 @@ fn cone_closes_over_register_feedback_cycles() {
     check_cone_bounds_influence(&nl, &fuzz_vectors(1, 6, 11), 4);
 }
 
-// ---- event-driven sweeps vs dense sweeps at the run_batch level ---------
+// ---- bit-sliced sweeps vs the scalar reference at the run_batch level ----
 
-/// Scalar / dense bit-sliced / event-driven bit-sliced on the same batch:
-/// outputs and toggle counts must agree exactly at every width. The scalar
-/// reference is pinned to the same [`LaneWidth`] because sequential batch
-/// semantics chunk by `64 * W` vectors (chunked streaming).
-fn assert_event_driven_matches(nl: &Netlist, vectors: &[Vec<i64>], cycles: u64, out: &str) {
+/// Scalar and bit-sliced engines on the same batch: outputs and toggle
+/// counts must agree exactly at every width. The scalar reference is pinned
+/// to the same [`LaneWidth`] because sequential batch semantics chunk by
+/// `64 * W` vectors (chunked streaming).
+fn assert_sliced_matches_scalar(nl: &Netlist, vectors: &[Vec<i64>], cycles: u64, out: &str) {
     for width in LaneWidth::ALL {
         let mut scalar = Simulator::new(nl).unwrap();
         scalar.set_batch_mode(BatchMode::Scalar);
         scalar.set_lane_width(width);
         scalar.enable_activity();
         let want = scalar.run_batch(vectors, cycles, out);
-        let want_activity = scalar.activity();
-        for events in [false, true] {
-            let mut sim = Simulator::new(nl).unwrap();
-            sim.set_lane_width(width);
-            sim.set_event_driven(events);
-            sim.enable_activity();
-            let got = sim.run_batch(vectors, cycles, out);
-            assert_eq!(
-                got.outputs,
-                want.outputs,
-                "outputs diverged on {} (W={width}, events={events})",
-                nl.name()
-            );
-            assert_eq!(
-                sim.activity(),
-                want_activity,
-                "toggles diverged on {} (W={width}, events={events})",
-                nl.name()
-            );
-        }
+        let mut sim = Simulator::new(nl).unwrap();
+        sim.set_lane_width(width);
+        sim.enable_activity();
+        let got = sim.run_batch(vectors, cycles, out);
+        assert_eq!(got.outputs, want.outputs, "outputs diverged on {} (W={width})", nl.name());
+        assert_eq!(
+            sim.activity(),
+            scalar.activity(),
+            "toggles diverged on {} (W={width})",
+            nl.name()
+        );
     }
 }
 
 #[test]
-fn event_driven_batches_agree_on_random_netlists() {
+fn sliced_batches_agree_on_random_netlists() {
     for seed in 0..4 {
         let comb =
             RandomNetlistSpec { inputs: 5, gates: 60, registers: 0, outputs: 3, input_prefix: "x" };
         let nl = random_netlist(&comb, seed ^ 0xAB);
-        assert_event_driven_matches(&nl, &fuzz_vectors(5, 130, seed), 0, "o0");
+        assert_sliced_matches_scalar(&nl, &fuzz_vectors(5, 130, seed), 0, "o0");
         let seq =
             RandomNetlistSpec { inputs: 5, gates: 50, registers: 4, outputs: 3, input_prefix: "x" };
         let snl = random_netlist(&seq, seed ^ 0xCD);
-        assert_event_driven_matches(&snl, &fuzz_vectors(5, 70, seed ^ 0x77), 2, "o1");
+        assert_sliced_matches_scalar(&snl, &fuzz_vectors(5, 70, seed ^ 0x77), 2, "o1");
     }
 }
 
 #[test]
-fn event_driven_batches_agree_on_low_activity_streams() {
-    // The worklist's best case — repeated and near-constant vectors — is
-    // also where a stale-dirty bug would hide: a cell wrongly left clean
-    // only shows when its inputs *should* have changed but the output slab
-    // was never recomputed. Alternate long constant runs with single-bit
-    // steps to cover both edges.
+fn sliced_batches_agree_on_low_activity_streams() {
+    // Repeated and near-constant vectors: long constant runs alternate
+    // with single-bit steps, so most lanes repeat their neighbour and the
+    // serial toggle accounting sees few, isolated changes.
     let spec =
         RandomNetlistSpec { inputs: 5, gates: 60, registers: 3, outputs: 3, input_prefix: "x" };
     let nl = random_netlist(&spec, 23);
@@ -227,5 +217,5 @@ fn event_driven_batches_agree_on_low_activity_streams() {
             v[i % 5] ^= 1;
         }
     }
-    assert_event_driven_matches(&nl, &vectors, 2, "o0");
+    assert_sliced_matches_scalar(&nl, &vectors, 2, "o0");
 }

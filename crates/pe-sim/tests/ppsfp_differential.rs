@@ -19,7 +19,7 @@
 //!
 //! The campaign simulator is reused across chunks, so the suite also pins
 //! chunk-to-chunk isolation under every [`ConeMode`] at every width, and
-//! force/release replays on long-lived dense and event-driven engines.
+//! force/release replays on long-lived engines.
 //!
 //! Like the batch differential suite, CI runs this in debug and release:
 //! release strips the debug assertions that would otherwise mask
@@ -504,16 +504,10 @@ fn ppsfp_chunks_do_not_contaminate_each_other() {
 /// `force_net`, `run_batch`, `release_net`, `run_batch` — and checks each
 /// forced batch against a scalar reference with the same net frozen and
 /// each healed batch against a fresh engine.
-fn force_release_replay<const W: usize>(nl: &Netlist, vectors: &[Vec<i64>], event_driven: bool) {
-    let fresh = || {
-        let mut sim = BitSlicedSimulator::<'_, W>::new(nl).unwrap();
-        sim.set_event_driven(event_driven);
-        sim
-    };
+fn force_release_replay<const W: usize>(nl: &Netlist, vectors: &[Vec<i64>]) {
+    let fresh = || BitSlicedSimulator::<'_, W>::new(nl).unwrap();
     let healthy = fresh().run_batch(vectors, 0, "o0");
     let mut sim = fresh();
-    // Settle first so an event-driven worklist starts empty: the force
-    // itself has to wake the fanout.
     assert_eq!(sim.run_batch(vectors, 0, "o0"), healthy);
     for site in enumerate_fault_sites(nl) {
         let mut scalar = Simulator::new(nl).unwrap();
@@ -521,7 +515,7 @@ fn force_release_replay<const W: usize>(nl: &Netlist, vectors: &[Vec<i64>], even
         scalar.force_net(site.net, site.stuck_at);
         let want = scalar.run_batch(vectors, 0, "o0").outputs;
         sim.force_net(site.net, site.stuck_at);
-        let what = format!("{site:?} at W={W}, event-driven {event_driven}");
+        let what = format!("{site:?} at W={W}");
         assert_eq!(sim.run_batch(vectors, 0, "o0").outputs, want, "forced batch of {what}");
         sim.release_net(site.net);
         assert_eq!(sim.run_batch(vectors, 0, "o0").outputs, healthy.outputs, "healed {what}");
@@ -535,10 +529,8 @@ fn force_release_replays_match_fresh_engines() {
         .into_iter()
         .map(|entry| entry.into_iter().map(|(_, v)| v).collect())
         .collect();
-    for event_driven in [false, true] {
-        force_release_replay::<1>(&nl, &vectors, event_driven);
-        force_release_replay::<2>(&nl, &vectors, event_driven);
-        force_release_replay::<4>(&nl, &vectors, event_driven);
-        force_release_replay::<8>(&nl, &vectors, event_driven);
-    }
+    force_release_replay::<1>(&nl, &vectors);
+    force_release_replay::<2>(&nl, &vectors);
+    force_release_replay::<4>(&nl, &vectors);
+    force_release_replay::<8>(&nl, &vectors);
 }
