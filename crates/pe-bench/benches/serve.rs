@@ -3,8 +3,10 @@
 //! Table-I sequential SVM (Cardio).
 //!
 //! Run with `cargo bench -p pe-bench --bench serve`; the printed per-batch
-//! times divided by the request counts give the per-request costs whose
-//! ratio `loadgen --ratio` measures end to end.
+//! times divided by the request counts give per-request costs. The
+//! coalescing payoff in simulator work is asserted exactly by `pe-serve`'s
+//! `coalesced_requests_cost_a_64th_of_one_request_batches` test; the
+//! end-to-end serving benchmark is `perfbench`'s `serve_seq` workload.
 
 use pe_bench::harness::{black_box, BenchGroup};
 use pe_core::pipeline::RunOptions;

@@ -1,11 +1,10 @@
-//! Lock-free counters and log-scale histograms with interval (delta)
-//! snapshot semantics.
+//! Lock-free counters and log-scale histograms.
 //!
 //! Writers touch one atomic per event. Readers take [`HistSnapshot`]s —
-//! plain bucket-count arrays — and subtract an older snapshot to get the
-//! histogram of just the interval between them. The same pattern covers
-//! scalar rates via [`RateWindow`]: feed it the current total and a
-//! timestamp, get back the rate over the window since the previous feed.
+//! plain bucket-count arrays — that merge bucket-wise, so per-shard
+//! histograms add up to an exact aggregate. Scalar rates use
+//! [`RateWindow`]: feed it the current total and a timestamp, get back the
+//! rate over the window since the previous feed.
 //!
 //! Latencies land in power-of-two nanosecond buckets, so quantiles are
 //! estimates with at most 2× resolution error — plenty for spotting the
@@ -175,9 +174,8 @@ impl Histogram {
     }
 }
 
-/// Plain bucket counts copied out of a [`Histogram`] — the unit of interval
-/// arithmetic: subtract an older snapshot to get the histogram of just the
-/// window between the two.
+/// Plain bucket counts copied out of a [`Histogram`]; snapshots of several
+/// histograms merge bucket-wise ([`HistSnapshot::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Samples per power-of-two bucket (see [`bucket_index`]).
@@ -195,15 +193,6 @@ impl HistSnapshot {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// The histogram of the interval between `older` and `self`: per-bucket
-    /// saturating difference, so a torn read can never underflow.
-    #[must_use]
-    pub fn delta_since(&self, older: &HistSnapshot) -> HistSnapshot {
-        HistSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i].saturating_sub(older.counts[i])),
-        }
     }
 
     /// Merges another snapshot in (bucket-wise sum) — the aggregate of two
@@ -309,30 +298,6 @@ mod tests {
         assert_eq!(bucket_index(Duration::from_nanos(2)), 1);
         assert_eq!(bucket_index(Duration::from_nanos((1 << 10) - 1)), 9);
         assert_eq!(bucket_index(Duration::from_nanos(1 << 10)), 10);
-    }
-
-    #[test]
-    fn interval_snapshots_subtract() {
-        let h = Histogram::new();
-        for _ in 0..50 {
-            h.record(Duration::from_micros(10));
-        }
-        let warm = h.snapshot();
-        assert_eq!(warm.count(), 50);
-        for _ in 0..5 {
-            h.record(Duration::from_millis(50));
-        }
-        let now = h.snapshot();
-        let delta = now.delta_since(&warm);
-        // The interval holds only the 5 slow samples: its median is slow
-        // even though the lifetime median is fast.
-        assert_eq!(delta.count(), 5);
-        assert!(delta.quantile(0.5) >= Duration::from_millis(32));
-        assert!(now.quantile(0.5) <= Duration::from_micros(20));
-        // Merge is the inverse of delta.
-        let mut merged = delta;
-        merged.merge(&warm);
-        assert_eq!(merged, now);
     }
 
     #[test]

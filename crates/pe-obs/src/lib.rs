@@ -5,12 +5,11 @@
 //! instruments the stack shares, all built on `std` atomics (no
 //! dependencies, `unsafe` forbidden):
 //!
-//! * [`hist`] — lock-free counters and log-scale latency histograms with
-//!   **interval snapshots**: every snapshot carries plain bucket counts, so
-//!   consumers subtract two snapshots ([`HistSnapshot::delta_since`]) to get
-//!   windowed quantiles/rates instead of since-start totals. A service that
-//!   idled through warm-up no longer deflates its reported throughput
-//!   forever.
+//! * [`hist`] — lock-free counters, gauges and log-scale latency
+//!   histograms whose snapshots carry plain bucket counts (shards merge
+//!   into an exact aggregate), plus [`RateWindow`] for windowed rates: a
+//!   service that idled through warm-up does not deflate its reported
+//!   throughput forever.
 //! * [`trace`] — a fixed-capacity, non-blocking ring of per-request span
 //!   records (`enqueue → coalesce → sweep → verify → reply`). Writers never
 //!   block: a contended slot drops the record and counts the drop. Readers

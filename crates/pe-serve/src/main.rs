@@ -6,7 +6,7 @@
 //!          [--width 1|2|4|8] [--workers N]
 //!          [--capacity N] [--warm key,key,... | --warm-grid]
 //!          [--weight key=W ...] [--max-conns N]
-//!          [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]
+//!          [--trace-capacity N] [--trace-slow-us N]
 //! ```
 //!
 //! Keys are `profile:style` tokens (`cardio:seq`, `pendigits:mlp`, …; see
@@ -34,7 +34,7 @@ fn usage() -> ! {
          \x20               [--width 1|2|4|8] [--workers N]\n\
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
          \x20               [--weight key=W ...] [--max-conns N]\n\
-         \x20               [--trace-capacity N] [--trace-slow-us N] [--no-sim-profile]\n\
+         \x20               [--trace-capacity N] [--trace-slow-us N]\n\
          --width caps the bit-sliced slab width in words (64-512 lanes; lane\n\
          counts accepted) and sets the chunk size of larger batches; each\n\
          batch sweeps the narrowest slab that holds it; default: per-model auto\n\
@@ -44,9 +44,7 @@ fn usage() -> ! {
          --trace-capacity sizes the request trace ring (`trace` command;\n\
          0 disables tracing; default 256)\n\
          --trace-slow-us only traces batches whose oldest request waited at\n\
-         least this long end to end (default 0: trace every batch)\n\
-         --no-sim-profile skips the simulator's per-batch phase clocks\n\
-         (the pe_sim_* series of the `metrics` command read zero)"
+         least this long end to end (default 0: trace every batch)"
     );
     std::process::exit(2)
 }
@@ -94,7 +92,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "bad --trace-slow-us".to_owned())?;
                 args.cfg.trace_slow = Duration::from_micros(us);
             }
-            "--no-sim-profile" => args.cfg.sim_profile = false,
             "--weight" => {
                 let spec = value("--weight")?;
                 let (key, w) =

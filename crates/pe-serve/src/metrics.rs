@@ -166,9 +166,9 @@ pub struct ModelMetricsSnapshot {
     pub batch_fill: f64,
     /// Slab width (words) this model's most recent gate-level batch swept
     /// at — the narrowest holding that batch, up to the configured cap
-    /// (the `pe_lane_width_words` series). A level, not a history: see
-    /// [`ModelMetricsSnapshot::mean_lane_words`] for the width the sweeps
-    /// ran at on average.
+    /// (the `pe_lane_width_words` series). A level, not a history:
+    /// `sweep_capacity / (64 × sweeps)` is the width the sweeps ran at on
+    /// average.
     pub lane_width: u64,
     /// Bit-sliced sweeps executed.
     pub sweeps: u64,
@@ -447,22 +447,6 @@ impl Metrics {
     }
 }
 
-impl ModelMetricsSnapshot {
-    /// Capacity-weighted mean slab width, in 64-lane words, over every
-    /// sweep so far: `sweep_capacity / (64 × sweeps)`. Unlike
-    /// [`ModelMetricsSnapshot::lane_width`], one ragged batch at the end of
-    /// a run does not hide the wide sweeps before it. Zero before the first
-    /// sweep.
-    #[must_use]
-    pub fn mean_lane_words(&self) -> f64 {
-        if self.sweeps == 0 {
-            0.0
-        } else {
-            self.sweep_capacity as f64 / (64 * self.sweeps) as f64
-        }
-    }
-}
-
 /// A point-in-time aggregate metrics view (see [`Metrics::snapshot`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
@@ -470,7 +454,8 @@ pub struct MetricsSnapshot {
     pub submitted: u64,
     /// Requests answered.
     pub served: u64,
-    /// Requests rejected for backpressure (`try_submit` on a full queue).
+    /// Requests rejected for backpressure (`Service::try_submit` on a full
+    /// queue; a request the TCP front end parks and retries is not one).
     pub rejected: u64,
     /// Integer-vs-gate-level disagreements seen by verify mode (must stay 0).
     pub verify_mismatches: u64,
@@ -652,21 +637,6 @@ mod tests {
         assert_eq!(snap.lane_width, 0);
         assert_eq!(snap.sweeps, 0);
         assert_eq!(snap.lane_fill, 0.0);
-    }
-
-    #[test]
-    fn mean_lane_words_weights_every_sweep_by_its_capacity() {
-        // One full W8 sweep, then a ragged 3-request batch at W1: the gauge
-        // holds the last batch's width, the mean weighs both sweeps.
-        let shard = ModelMetrics::new();
-        assert_eq!(shard.snapshot(512).mean_lane_words(), 0.0);
-        shard.on_batch(512, 8, 0, 0);
-        shard.on_batch(3, 1, 0, 0);
-        let snap = shard.snapshot(512);
-        assert_eq!(snap.lane_width, 1);
-        assert_eq!(snap.sweeps, 2);
-        assert_eq!(snap.sweep_capacity, 512 + 64);
-        assert!((snap.mean_lane_words() - 4.5).abs() < 1e-12, "{}", snap.mean_lane_words());
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub struct ServiceConfig {
     /// Requests per `run_batch` call, clamped to `1..=1024`. Values above
     /// the slab cap's `64 * W` lanes run as several sweeps inside **one**
     /// call, amortizing simulator construction further; 1 degenerates to
-    /// one-request-per-`run_batch` serving (the loadgen baseline). Under an
-    /// 8-word cap a batch of 512 is a single sweep — no splitting.
+    /// one-request-per-`run_batch` serving. Under an 8-word cap a batch of
+    /// 512 is a single sweep — no splitting.
     pub batch_max: usize,
     /// Bit-sliced slab width **cap** override. `None` (the default) uses
     /// each model's auto-picked width ([`ModelEntry::lane_width`]). Either
@@ -126,17 +126,12 @@ pub struct ServiceConfig {
     /// Capacity of the request trace ring ([`Service::traces`], the `trace`
     /// wire command). Each executed batch records one span trace for its
     /// **oldest** request — the worst queue wait of the batch. 0 disables
-    /// tracing entirely (the instrumentation-off baseline).
+    /// tracing entirely.
     pub trace_capacity: usize,
     /// Only record traces whose total latency is at least this long. The
     /// default [`Duration::ZERO`] traces every batch's oldest request;
     /// raising it turns the ring into a slow-request sampler.
     pub trace_slow: Duration,
-    /// Feed each model's [`pe_obs::ProfileRecorder`] from the gate-level
-    /// simulator (per-batch phase timings, sweep and cell-evaluation
-    /// counts — the `pe_sim_*` series of the `metrics` exposition). Off
-    /// skips every phase clock read inside `run_batch`.
-    pub sim_profile: bool,
     /// Weighted-fair admission weights per key (default 1.0 for keys not
     /// listed). A key with weight 2.0 accrues virtual time half as fast and
     /// therefore gets twice the service share under contention.
@@ -156,7 +151,6 @@ impl Default for ServiceConfig {
                 .min(8),
             trace_capacity: 256,
             trace_slow: Duration::ZERO,
-            sim_profile: true,
             weights: Vec::new(),
         }
     }
@@ -437,9 +431,14 @@ impl Service {
     }
 
     /// Like [`Service::submit`] but returns [`ServeError::Busy`] instead of
-    /// blocking when the queue is full.
+    /// blocking when the queue is full, counted as a rejection
+    /// ([`MetricsSnapshot::rejected`]).
     pub fn try_submit(&self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
-        self.intake().try_submit(key, x)
+        let res = self.intake().try_submit(key, x);
+        if matches!(res, Err(ServeError::Busy)) {
+            self.shared.metrics.on_reject(key);
+        }
+        res
     }
 
     /// Submit-and-wait for one request.
@@ -571,7 +570,10 @@ impl Intake<'_> {
     }
 
     /// [`Service::try_submit`] through this intake: [`ServeError::Busy`]
-    /// instead of blocking when the queue is full.
+    /// instead of blocking when the queue is full. Unlike the one-shot
+    /// [`Service::try_submit`], a `Busy` here is not counted as a
+    /// rejection: the caller may hold the request and retry it (the TCP
+    /// front end parks it, counted by `pe_conn_parked_total`).
     pub fn try_submit(&mut self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
         self.submit_one(key, x, false)
     }
@@ -587,7 +589,6 @@ impl Intake<'_> {
         let (tx, rx) = mpsc::channel();
         let mut st = self.shared.state.lock().expect("service queue poisoned");
         if !block && !st.stopping && st.total >= self.shared.cfg.queue_capacity {
-            self.shared.metrics.on_reject(key);
             return Err(ServeError::Busy);
         }
         st = self.wait_for_space(st);
@@ -752,10 +753,8 @@ fn run_one_batch(
                 if let Some(w) = shared.cfg.lane_width {
                     sim.set_lane_width(w);
                 }
-                if shared.cfg.sim_profile {
-                    let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
-                    sim.set_profile(Some(profile));
-                }
+                let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
+                sim.set_profile(Some(profile));
                 WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
             });
             // The slab this batch actually sweeps; the configured width is
@@ -1163,5 +1162,39 @@ mod tests {
         assert_eq!(m.lane_width, 1, "a 64-request batch sweeps one word");
         assert_eq!(m.lane_fill, 1.0);
         svc.shutdown();
+    }
+
+    #[test]
+    fn coalesced_requests_cost_a_64th_of_one_request_batches() {
+        // The batching payoff, counted in simulator work: a sweep costs
+        // `scheduled_cells × (1 + cycles)` cell evaluations whatever its
+        // width or fill, so 128 requests coalesced into two 64-lane sweeps
+        // cost exactly 1/64 of one sweep per request (`batch_max: 1`).
+        let registry = test_registry();
+        let key = cardio_seq();
+        let entry = registry.get(key);
+        let xs = samples(&registry, key, 2 * LANES);
+        let run = |batch_max: usize| {
+            let cfg =
+                ServiceConfig { mode: ServeMode::Verify, batch_max, ..ServiceConfig::default() };
+            let svc = Service::start(Arc::clone(&registry), cfg);
+            assert!(svc.classify_batch(key, &xs).iter().all(Result::is_ok));
+            let m = svc.metrics_store().shard(key).snapshot(batch_max);
+            svc.shutdown();
+            assert_eq!((m.served, m.verify_mismatches), (xs.len() as u64, 0));
+            assert_eq!(m.profile.sweeps, m.sweeps);
+            (m.sweeps, m.profile.cell_evals)
+        };
+        let per_sweep = pe_sim::BitSlicedSimulator::<1>::new(&entry.netlist)
+            .expect("admitted netlists schedule")
+            .scheduled_cells() as u64
+            * (1 + entry.cycles_per_vector);
+        let (coalesced_sweeps, coalesced_evals) = run(LANES);
+        let (single_sweeps, single_evals) = run(1);
+        assert_eq!((coalesced_sweeps, single_sweeps), (2, xs.len() as u64));
+        assert_eq!(coalesced_evals, 2 * per_sweep);
+        assert_eq!(single_evals, xs.len() as u64 * per_sweep);
+        // Per served request: 2·s/128 = s/64 against s.
+        assert_eq!(64 * coalesced_evals, single_evals);
     }
 }

@@ -331,4 +331,15 @@ fn buffered_lines_are_answered_after_a_half_close() {
     assert!(rest.is_empty(), "unexpected trailing bytes {rest:?}");
     // Only the observer's own connection may remain.
     wait_conn_open(h.addr, 1);
+    // Every park was retried and served: the front end counts parks, and
+    // the service, which refused no client, counts no rejection.
+    let parked = h
+        .service
+        .metrics_text()
+        .lines()
+        .find_map(|l| l.strip_prefix("pe_conn_parked_total ").map(|v| v.parse::<u64>().unwrap()))
+        .expect("metrics exposition has pe_conn_parked_total");
+    assert!(parked > 0, "a four-slot queue must park some of {REQUESTS} pipelined requests");
+    let m = h.service.metrics();
+    assert_eq!((m.served, m.rejected), (REQUESTS as u64, 0), "{m:?}");
 }

@@ -324,7 +324,7 @@ pub struct BitSlicedSimulator<'nl, const W: usize = 1> {
 /// re-settling. [`crate::warm`] builds the lifetime-free
 /// [`WarmSimulator`](crate::WarmSimulator) on top.
 #[derive(Debug)]
-pub struct DetachedSlab<const W: usize = 1> {
+pub(crate) struct DetachedSlab<const W: usize = 1> {
     num_nets: usize,
     num_cells: usize,
     order: Vec<CellId>,
@@ -387,7 +387,7 @@ impl<const W: usize> DetachedSlab<W> {
     /// Panics if a slab is not a broadcast — e.g. state detached with
     /// per-lane pins from [`BitSlicedSimulator::force_lanes`] still held.
     #[must_use]
-    pub fn rewidth<const V: usize>(self) -> DetachedSlab<V> {
+    pub(crate) fn rewidth<const V: usize>(self) -> DetachedSlab<V> {
         fn rebroadcast<const W: usize, const V: usize>(slabs: Vec<[u64; W]>) -> Vec<[u64; V]> {
             slabs
                 .into_iter()
@@ -774,7 +774,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// [`BitSlicedSimulator::reattach`] resumes exactly where this simulator
     /// left off.
     #[must_use]
-    pub fn detach(self) -> DetachedSlab<W> {
+    pub(crate) fn detach(self) -> DetachedSlab<W> {
         DetachedSlab {
             num_nets: self.nl.num_nets(),
             num_cells: self.nl.num_cells(),
@@ -808,7 +808,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// every batch, and the full fingerprint was already paid once at
     /// [`Simulator::with_schedule`](crate::Simulator::with_schedule).
     #[must_use]
-    pub fn reattach(nl: &Netlist, slab: DetachedSlab<W>) -> BitSlicedSimulator<'_, W> {
+    pub(crate) fn reattach(nl: &Netlist, slab: DetachedSlab<W>) -> BitSlicedSimulator<'_, W> {
         assert!(
             slab.matches(nl),
             "detached slab ({} nets / {} cells) does not fit netlist {:?} ({} nets / {} cells)",

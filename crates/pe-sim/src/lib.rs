@@ -61,7 +61,7 @@ pub mod vcd;
 pub mod warm;
 
 pub use activity::{ActivityReport, ToggleCounters};
-pub use bitslice::{BitSlicedSimulator, DetachedSlab, LaneWidth};
+pub use bitslice::{BitSlicedSimulator, LaneWidth};
 pub use collapse::{
     fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed, CollapseStats,
 };

@@ -188,16 +188,6 @@ impl<'nl> Simulator<'nl> {
         sim
     }
 
-    /// A deep copy of this simulator — schedule, settled net values,
-    /// register state, forced nets, batch-mode selection and toggle counts
-    /// included — without re-levelizing the netlist. Service workers use
-    /// this to fan one scheduled simulator out across threads; the copies
-    /// share nothing and diverge independently.
-    #[must_use]
-    pub fn clone_scheduled(&self) -> Simulator<'nl> {
-        self.clone()
-    }
-
     /// The netlist under simulation.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
@@ -957,24 +947,6 @@ mod tests {
         let want = fresh.run_batch(&vectors, 0, "sum");
         let got = reused.run_batch(&vectors, 0, "sum");
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn clone_scheduled_copies_state_and_diverges_independently() {
-        let mut b = Builder::new("r");
-        let d = b.input("d");
-        let q = b.dff(d, false);
-        b.output("q", q);
-        let nl = b.finish();
-        let mut sim = Simulator::new(&nl).unwrap();
-        sim.set_input("d", 1);
-        sim.tick();
-        let mut copy = sim.clone_scheduled();
-        assert_eq!(copy.output_unsigned("q"), 1, "clone carries register state");
-        copy.set_input("d", 0);
-        copy.tick();
-        assert_eq!(copy.output_unsigned("q"), 0);
-        assert_eq!(sim.output_unsigned("q"), 1, "original is untouched by the clone");
     }
 
     #[test]

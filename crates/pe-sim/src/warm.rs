@@ -7,7 +7,7 @@
 //! batch of the same model pays that setup every time.
 //!
 //! [`WarmSimulator`] keeps the slab engine instead: it owns the engine's
-//! detached state ([`DetachedSlab`]) across batches and reattaches it to the
+//! detached state (the crate-private `DetachedSlab`) across batches and reattaches it to the
 //! netlist only for the duration of each [`WarmSimulator::run_batch`] call.
 //! Because the struct holds **no netlist borrow**, a worker thread can keep
 //! one per model right next to the `Arc` that owns the netlist — the
@@ -29,7 +29,7 @@
 //! batch sweeps at [`LaneWidth::for_batch`] — the narrowest slab that holds
 //! one chunk — so a 64-request batch under a W8 cap evaluates 64 lanes, not
 //! 512. When that width differs from the previous batch's, the detached
-//! state is re-packed with [`DetachedSlab::rewidth`]: exact, because between
+//! state is re-packed at the new width: exact, because between
 //! batches every slab is a broadcast of the carried serial value. Chunk
 //! boundaries never move (a batch that fits one cap chunk is one chunk at
 //! either width), so nothing below depends on the swept width.

@@ -4,7 +4,12 @@
 use printed_svm::core::designs::{parallel, sequential};
 use printed_svm::netlist::{verilog, verilog_parse};
 use printed_svm::prelude::*;
-use printed_svm::sim::faults::{enumerate_fault_sites, fault_campaign_comb, fault_campaign_seq};
+use printed_svm::sim::collapse::fault_campaign_seq_ppsfp_collapsed;
+use printed_svm::sim::faults::{
+    enumerate_fault_sites, fault_campaign_comb, fault_campaign_seq,
+    fault_campaign_seq_ppsfp_wide_obs,
+};
+use printed_svm::sim::{ConeMode, LaneWidth};
 
 fn quantized(profile: UciProfile, scheme: MulticlassScheme) -> (QuantizedSvm, Dataset) {
     let d = profile.generate(77);
@@ -97,6 +102,61 @@ fn classifiers_mask_a_good_fraction_of_faults() {
     // Neither architecture is catastrophically fragile on this workload.
     assert!(seq_report.criticality() < 0.9);
     assert!(par_report.criticality() < 0.9);
+}
+
+#[test]
+fn collapsed_campaign_is_bit_identical_and_retires_13_percent_of_sites() {
+    // Every stuck-at site of the Table-I sequential SVM (Cardio seed 7, OvR
+    // quantized 4/6) under a 12-vector workload, at W=8. Cone scheduling and
+    // static collapsing may only skip work, never change a verdict; the
+    // collapse must retire at least 13 % of the 4126 sites (class merges
+    // plus statically benign classes).
+    let d = UciProfile::Cardio.generate(7);
+    let (train, test) = train_test_split(&d, 0.2, 7);
+    let norm = Normalizer::fit(&train);
+    let (train, test) = (norm.apply(&train), norm.apply(&test));
+    let m = SvmModel::train(&train, MulticlassScheme::OneVsRest, &SvmTrainParams::default());
+    let q = QuantizedSvm::quantize(&m, 4, 6);
+    let nl = sequential::build_sequential_ovr(&q);
+    let workload: Vec<Vec<(String, i64)>> = test
+        .features()
+        .iter()
+        .take(12)
+        .map(|x| {
+            q.quantize_input(x).iter().enumerate().map(|(i, &v)| (format!("x{i}"), v)).collect()
+        })
+        .collect();
+    let sites = enumerate_fault_sites(&nl);
+    assert_eq!(sites.len(), 4126);
+    let cycles = q.num_classes() as u64;
+    let width = LaneWidth::W8;
+    let campaign = |mode| {
+        fault_campaign_seq_ppsfp_wide_obs(
+            &nl, &sites, &workload, "class", cycles, width, mode, None,
+        )
+        .unwrap()
+        .0
+    };
+    let full = campaign(ConeMode::Auto);
+    assert_eq!(full, campaign(ConeMode::Never), "cone scheduling changed a verdict");
+    let (collapsed, stats) = fault_campaign_seq_ppsfp_collapsed(
+        &nl,
+        &sites,
+        &workload,
+        "class",
+        cycles,
+        width,
+        ConeMode::Auto,
+    )
+    .unwrap();
+    assert_eq!(collapsed, full, "collapsing changed a verdict");
+    assert_eq!(stats.sites, sites.len());
+    assert!(
+        stats.reduction() >= 0.13,
+        "collapsing retired only {:.1} % of {} sites",
+        100.0 * stats.reduction(),
+        stats.sites
+    );
 }
 
 #[test]
