@@ -49,6 +49,8 @@ fn main() {
         black_box(r);
     });
 
-    assert_eq!(coalesced.metrics().verify_mismatches, 0);
-    assert_eq!(single.metrics().verify_mismatches, 0);
+    for svc in [&coalesced, &single] {
+        let shard = svc.metrics_store().shard(key).snapshot(svc.config().batch_max);
+        assert_eq!(shard.verify_mismatches, 0);
+    }
 }

@@ -10,16 +10,22 @@
 //!
 //! * **Closed loop** (`--tcp ADDR`): `--conns` concurrent connections,
 //!   each sending one request and waiting for its reply. Every reply is
-//!   checked, the `metrics` exposition is **scraped mid-run** (failing
-//!   unless the per-model series — and the front end's `pe_conn_*`
-//!   connection gauges — are present and non-zero), then `stats` is read
-//!   and the run **fails if the server saw any verify mismatches**.
+//!   checked.
 //! * **Open loop** (`--tcp ADDR --open`): one nonblocking client event
 //!   loop multiplexing `--conns` concurrent connections (thousands),
 //!   pipelining every request up front so arrivals never wait on replies.
 //!   **Any** protocol error — a non-`ok` reply, an early server EOF, an
-//!   unsolicited reply — fails the run, and so does a mid-run
-//!   `pe_conn_open` below the connections the client holds open.
+//!   unsolicited reply — fails the run.
+//!
+//! Both modes scrape the `metrics` exposition **mid-run**: the scrape
+//! starts once every classify connection has had a reply and at least
+//! half of all replies are in (reply counts, not a timer), and every
+//! classify connection stays open until it returns. The run fails unless
+//! the per-model series and the front end's `pe_conn_*` gauges are present
+//! and non-zero, and unless `pe_conn_open` counts every classify
+//! connection plus the scrape's own. At the end one more exposition is
+//! read, and the run **fails on any verify mismatch or rejected request**
+//! (`pe_verify_mismatches_total`, `pe_rejected_total`).
 //!
 //! `--shutdown` asks the server to drain and exit at the end (the CI smoke
 //! flow). Requests are uniform `[0,1)` feature vectors: integer-vs-gate
@@ -28,12 +34,13 @@
 //! run and are informational; `perfbench`'s `serve_seq` workload is the
 //! serving benchmark.
 
-use pe_serve::{MetricsSnapshot, ModelKey};
+use pe_serve::ModelKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -73,19 +80,99 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { key, requests: requests.max(1), tcp, conns: conns.max(1), open, shutdown })
 }
 
-/// Scrapes the `metrics` exposition from a running server (reading to the
-/// `# EOF` sentinel) and fails unless the per-model series for `key` — and
-/// the non-blocking front end's `pe_conn_*`/`pe_poll_*` gauges — are
-/// present and non-zero: the CI smoke assertion that the observability
-/// plumbing is actually live, not just parseable. Returns the mid-run
-/// `pe_conn_open` level.
-fn scrape_metrics(addr: &str, key: ModelKey) -> Result<f64, String> {
-    // Let the classify connections land some traffic first, so the scrape
-    // reads a genuinely mid-run exposition rather than a cold server.
-    std::thread::sleep(Duration::from_millis(200));
+/// Holds the mid-run scrape back until the run is genuinely mid-way: every
+/// classify connection has had a reply and at least half of all replies
+/// are in. Classify connections stay open until the scrape has returned
+/// ([`ScrapeGate::close`]), so `pe_conn_open` reads them all.
+struct ScrapeGate {
+    conns: usize,
+    total: usize,
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    replied_conns: usize,
+    replies: usize,
+    /// A connection failed, so the trigger may never hold.
+    aborted: bool,
+    /// The scrape has returned.
+    closed: bool,
+}
+
+impl ScrapeGate {
+    fn new(conns: usize, total: usize) -> Self {
+        ScrapeGate { conns, total, state: Mutex::default(), changed: Condvar::new() }
+    }
+
+    fn update(&self, f: impl FnOnce(&mut GateState)) {
+        f(&mut self.state.lock().expect("scrape gate poisoned"));
+        self.changed.notify_all();
+    }
+
+    /// Counts one reply; `first` when it is its connection's first.
+    fn reply(&self, first: bool) {
+        self.update(|st| {
+            st.replies += 1;
+            st.replied_conns += usize::from(first);
+        });
+    }
+
+    /// A classify connection failed: releases the scrape and the held
+    /// connections.
+    fn abort(&self) {
+        self.update(|st| st.aborted = true);
+    }
+
+    /// The scrape has returned: held connections may close.
+    fn close(&self) {
+        self.update(|st| st.closed = true);
+    }
+
+    /// Blocks until the scrape may start; false if a connection failed
+    /// first.
+    fn wait_open(&self) -> bool {
+        let st = self.state.lock().expect("scrape gate poisoned");
+        let st = self
+            .changed
+            .wait_while(st, |st| {
+                !st.aborted && (st.replied_conns < self.conns || 2 * st.replies < self.total)
+            })
+            .expect("scrape gate poisoned");
+        !st.aborted
+    }
+
+    /// Blocks until the scrape has returned.
+    fn wait_closed(&self) {
+        let st = self.state.lock().expect("scrape gate poisoned");
+        drop(self.changed.wait_while(st, |st| !st.closed).expect("scrape gate poisoned"));
+    }
+
+    /// Runs the mid-run scrape once the gate opens, then closes it.
+    fn scrape(&self, addr: &str, key: ModelKey) -> Result<f64, String> {
+        let res = if self.wait_open() {
+            scrape_metrics(addr, key, self.conns)
+        } else {
+            Err("a classify connection failed before the mid-run scrape".to_owned())
+        };
+        self.close();
+        res
+    }
+}
+
+/// Connects a line client: the write half and a buffered read half.
+fn connect(addr: &str) -> Result<(TcpStream, BufReader<TcpStream>), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let mut writer = stream;
+    let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+    Ok((stream, reader))
+}
+
+/// Sends `metrics` and reads the exposition up to its `# EOF` sentinel.
+fn read_exposition(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+) -> Result<String, String> {
     writeln!(writer, "metrics").map_err(|e| format!("send: {e}"))?;
     let mut text = String::new();
     loop {
@@ -97,16 +184,42 @@ fn scrape_metrics(addr: &str, key: ModelKey) -> Result<f64, String> {
         let done = line.trim_end() == "# EOF";
         text.push_str(&line);
         if done {
-            break;
+            return Ok(text);
         }
     }
+}
+
+/// The value of one exposition series: `name{labels}` as given, e.g.
+/// `pe_served_total{model="cardio:seq"}`, or an unlabeled `name`.
+fn series(text: &str, name: &str) -> Option<f64> {
+    let prefix = format!("{name} ");
+    text.lines().find_map(|l| l.strip_prefix(&prefix)).and_then(|v| v.parse().ok())
+}
+
+/// The sum of a per-model series over every model in the exposition;
+/// `None` when no model carries it.
+fn series_sum(text: &str, name: &str) -> Option<f64> {
+    let values: Vec<f64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix(name).filter(|rest| rest.starts_with('{')))
+        .filter_map(|rest| rest.rsplit(' ').next()?.parse().ok())
+        .collect();
+    (!values.is_empty()).then(|| values.iter().sum())
+}
+
+/// Scrapes the `metrics` exposition from a running server and fails
+/// unless the per-model series for `key` — and the non-blocking front
+/// end's `pe_conn_*`/`pe_poll_*` gauges — are present and non-zero, and
+/// unless `pe_conn_open` counts the `conns` classify connections plus this
+/// scrape's own: the CI smoke assertion that the observability plumbing is
+/// actually live, not just parseable. Returns the mid-run `pe_conn_open`.
+fn scrape_metrics(addr: &str, key: ModelKey, conns: usize) -> Result<f64, String> {
+    let (mut writer, mut reader) = connect(addr)?;
+    let text = read_exposition(&mut writer, &mut reader)?;
     let model = key.token();
-    let series_value = |name: &str| -> Option<f64> {
-        let prefix = format!("{name}{{model=\"{model}\"}} ");
-        text.lines().find_map(|l| l.strip_prefix(&prefix)).and_then(|v| v.parse().ok())
-    };
+    let per_model = |name: &str| series(&text, &format!("{name}{{model=\"{model}\"}}"));
     for name in ["pe_submitted_total", "pe_served_total", "pe_latency_us_count"] {
-        let v = series_value(name)
+        let v = per_model(name)
             .ok_or_else(|| format!("metrics exposition missing {name} for {model}"))?;
         if v <= 0.0 {
             return Err(format!("mid-run {name}{{model=\"{model}\"}} is {v}, expected non-zero"));
@@ -114,42 +227,52 @@ fn scrape_metrics(addr: &str, key: ModelKey) -> Result<f64, String> {
     }
     // Unlabeled front-end series: at minimum this scrape's own connection
     // is open, and the event loop has made passes.
-    let plain = |name: &str| -> Option<f64> {
-        let prefix = format!("{name} ");
-        text.lines().find_map(|l| l.strip_prefix(&prefix)).and_then(|v| v.parse().ok())
-    };
     for name in ["pe_conn_open", "pe_conn_accepted_total", "pe_poll_passes_total"] {
-        let v = plain(name).ok_or_else(|| format!("metrics exposition missing {name}"))?;
+        let v = series(&text, name).ok_or_else(|| format!("metrics exposition missing {name}"))?;
         if v <= 0.0 {
             return Err(format!("mid-run {name} is {v}, expected non-zero"));
         }
     }
-    let conn_open = plain("pe_conn_open").unwrap_or(0.0);
+    let conn_open = series(&text, "pe_conn_open").unwrap_or(0.0);
     println!(
         "tcp: mid-run metrics scrape ok ({} series; {:.0} served so far, {conn_open:.0} conns \
          open, peak {:.0})",
         text.lines().filter(|l| !l.starts_with('#')).count(),
-        series_value("pe_served_total").unwrap_or(0.0),
-        plain("pe_conn_open_peak").unwrap_or(0.0),
+        per_model("pe_served_total").unwrap_or(0.0),
+        series(&text, "pe_conn_open_peak").unwrap_or(0.0),
     );
+    if conn_open < (conns + 1) as f64 {
+        return Err(format!(
+            "mid-run pe_conn_open {conn_open} below the {conns} classify connections this \
+             client held open plus the scrape's own"
+        ));
+    }
     Ok(conn_open)
 }
 
-/// One control connection at the end of a run: reads `stats`, fails on any
-/// server-side verify mismatch, then optionally asks the server to shut
-/// down and checks its `bye`.
-fn check_stats(addr: &str, shutdown: bool) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let mut writer = stream;
-    writeln!(writer, "stats").map_err(|e| format!("send: {e}"))?;
-    let mut stats = String::new();
-    reader.read_line(&mut stats).map_err(|e| format!("recv: {e}"))?;
-    println!("{}", stats.trim_end());
-    let mismatches = MetricsSnapshot::field(&stats, "mismatches")
-        .ok_or_else(|| format!("stats reply unparsable: {stats:?}"))?;
+/// One control connection at the end of a run: reads the `metrics`
+/// exposition and fails on any verify mismatch or rejected request, then
+/// optionally asks the server to shut down and checks its `bye`.
+fn check_exposition(addr: &str, shutdown: bool) -> Result<(), String> {
+    let (mut writer, mut reader) = connect(addr)?;
+    let text = read_exposition(&mut writer, &mut reader)?;
+    let total = |name: &str| {
+        series_sum(&text, name).ok_or_else(|| format!("metrics exposition has no {name} series"))
+    };
+    let (served, mismatches, rejected) = (
+        total("pe_served_total")?,
+        total("pe_verify_mismatches_total")?,
+        total("pe_rejected_total")?,
+    );
+    println!(
+        "tcp: end of run: {served:.0} served, {mismatches:.0} verify mismatches, \
+         {rejected:.0} rejected"
+    );
     if mismatches != 0.0 {
         return Err(format!("server reported {mismatches} verify mismatches"));
+    }
+    if rejected != 0.0 {
+        return Err(format!("server rejected {rejected} requests"));
     }
     if shutdown {
         writeln!(writer, "shutdown").map_err(|e| format!("send: {e}"))?;
@@ -175,6 +298,8 @@ struct OpenConn {
     sent_at: std::collections::VecDeque<Instant>,
     rbuf: Vec<u8>,
     replies_due: usize,
+    /// Whether any reply line has arrived yet (for the [`ScrapeGate`]).
+    replied: bool,
     eof: bool,
 }
 
@@ -185,7 +310,6 @@ struct OpenConn {
 /// reply-line-parsed. Any protocol error fails the run; the mid-run scrape
 /// must see the front end's connection gauges at the expected level.
 fn run_open_tcp(args: &Args) -> Result<(), String> {
-    use std::io::{ErrorKind, Read};
     let addr = args.tcp.as_str();
     let n_features = args.key.profile.spec().n_features;
     let mut rng = StdRng::seed_from_u64(0x0bea10ad);
@@ -231,17 +355,54 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
             sent_at: std::collections::VecDeque::new(),
             rbuf: Vec::new(),
             replies_due: per_conn,
+            replied: false,
             eof: false,
         });
     }
     println!("tcp open-loop: ramp complete in {:.2}s", t_ramp.elapsed().as_secs_f64());
 
-    let scrape = std::thread::spawn({
-        let addr = addr.to_owned();
-        let key = args.key;
-        move || scrape_metrics(&addr, key)
-    });
+    let gate = ScrapeGate::new(args.conns, total);
     let hist = pe_obs::Histogram::new();
+    let t0 = Instant::now();
+    let (pumped, dt, scraped) = std::thread::scope(|scope| {
+        let scrape = scope.spawn(|| gate.scrape(addr, args.key));
+        let pumped = pump_open(&mut conns, total, &gate, &hist);
+        let dt = t0.elapsed().as_secs_f64();
+        if pumped.is_err() {
+            gate.abort();
+        }
+        (pumped, dt, scrape.join().expect("metrics scrape thread panicked"))
+    });
+    // Every connection stayed open until the scrape had read the gauges.
+    drop(conns);
+    let (replies, errors) = pumped?;
+    scraped?;
+    if errors > 0 {
+        return Err(format!("{errors} protocol error(s) across {total} open-loop requests"));
+    }
+    let snap = hist.snapshot();
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    println!(
+        "tcp open-loop: {replies} ok replies over {} conns in {dt:.2}s ({:.0} req/s), \
+         latency p50 {:.0} µs p99 {:.0} µs, 0 protocol errors",
+        args.conns,
+        replies as f64 / dt,
+        us(snap.quantile(0.5)),
+        us(snap.quantile(0.99)),
+    );
+    check_exposition(addr, args.shutdown)
+}
+
+/// The open-loop event loop: writes, reads and parses every connection
+/// until each request has a reply line, feeding `gate` and recording each
+/// `ok` reply's latency. Returns `(ok replies, protocol errors)`.
+fn pump_open(
+    conns: &mut [OpenConn],
+    total: usize,
+    gate: &ScrapeGate,
+    hist: &pe_obs::Histogram,
+) -> Result<(usize, usize), String> {
+    use std::io::{ErrorKind, Read};
     let mut errors = 0usize;
     let mut replies = 0usize;
     let t0 = Instant::now();
@@ -255,7 +416,7 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
             ));
         }
         let mut progressed = false;
-        for conn in &mut conns {
+        for conn in conns.iter_mut() {
             if conn.replies_due == 0 {
                 continue;
             }
@@ -297,6 +458,7 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
             }
             while let Some(i) = conn.rbuf.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = conn.rbuf.drain(..=i).collect();
+                gate.reply(!std::mem::replace(&mut conn.replied, true));
                 let Some(sent) = conn.sent_at.pop_front() else {
                     errors += 1; // unsolicited reply
                     continue;
@@ -323,35 +485,11 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
             idle_pause = (idle_pause * 2).min(Duration::from_millis(2));
         }
     }
-    let dt = t0.elapsed().as_secs_f64();
-    // Keep every connection open until the delayed scrape has looked at the
-    // server's gauges — dropping them first would deflate `pe_conn_open`.
-    let conn_open = scrape.join().expect("metrics scrape thread panicked")?;
-    drop(conns);
-    if errors > 0 {
-        return Err(format!("{errors} protocol error(s) across {total} open-loop requests"));
-    }
-    if conn_open < args.conns as f64 {
-        return Err(format!(
-            "mid-run pe_conn_open {conn_open} below the {} connections this client held open",
-            args.conns
-        ));
-    }
-    let snap = hist.snapshot();
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
-    println!(
-        "tcp open-loop: {replies} ok replies over {} conns in {dt:.2}s ({:.0} req/s), \
-         latency p50 {:.0} µs p99 {:.0} µs, 0 protocol errors",
-        args.conns,
-        replies as f64 / dt,
-        us(snap.quantile(0.5)),
-        us(snap.quantile(0.99)),
-    );
-    check_stats(addr, args.shutdown)
+    Ok((replies, errors))
 }
 
 /// Closed-loop TCP mode; returns an error message on any failed reply, a
-/// failed mid-run `metrics` scrape, or server-side verify mismatches.
+/// failed mid-run `metrics` scrape, or a failed end-of-run check.
 fn run_tcp(args: &Args) -> Result<(), String> {
     let addr = args.tcp.as_str();
     let n_features = args.key.profile.spec().n_features;
@@ -360,37 +498,28 @@ fn run_tcp(args: &Args) -> Result<(), String> {
     let vectors: Vec<Vec<f64>> = (0..args.conns * per_conn)
         .map(|_| (0..n_features).map(|_| rng.gen::<f64>()).collect())
         .collect();
+    let gate = ScrapeGate::new(args.conns, vectors.len());
     let t0 = Instant::now();
     let results: Vec<Result<usize, String>> = std::thread::scope(|scope| {
         // While the connection threads hammer the server, one extra thread
         // scrapes the `metrics` exposition mid-run.
-        let scrape = scope.spawn(|| scrape_metrics(addr, args.key));
+        let scrape = scope.spawn(|| gate.scrape(addr, args.key));
+        let gate = &gate;
         let handles: Vec<_> = vectors
             .chunks(per_conn)
             .map(|chunk| {
-                scope.spawn(move || -> Result<usize, String> {
-                    let stream =
-                        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-                    // Like the open-loop client: no Nagle, and each request
-                    // leaves in one write, so the measured round trip is
-                    // the server's, not a delayed ACK's.
-                    let _ = stream.set_nodelay(true);
-                    let mut reader = BufReader::new(
-                        stream.try_clone().map_err(|e| format!("clone stream: {e}"))?,
-                    );
-                    let mut writer = stream;
-                    let mut reply = String::new();
-                    for x in chunk {
-                        let mut line = pe_serve::protocol::format_classify(args.key, x);
-                        line.push('\n');
-                        writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
-                        reply.clear();
-                        reader.read_line(&mut reply).map_err(|e| format!("recv: {e}"))?;
-                        if !reply.starts_with("ok ") {
-                            return Err(format!("unexpected reply {:?}", reply.trim_end()));
-                        }
+                scope.spawn(move || match drive_closed(addr, args.key, chunk, gate) {
+                    Ok(held) => {
+                        // Hold the connection open until the scrape has
+                        // counted it.
+                        gate.wait_closed();
+                        drop(held);
+                        Ok(chunk.len())
                     }
-                    Ok(chunk.len())
+                    Err(e) => {
+                        gate.abort();
+                        Err(e)
+                    }
                 })
             })
             .collect();
@@ -409,7 +538,35 @@ fn run_tcp(args: &Args) -> Result<(), String> {
         args.conns,
         total as f64 / dt
     );
-    check_stats(addr, args.shutdown)
+    check_exposition(addr, args.shutdown)
+}
+
+/// One closed-loop connection: sends each request of `chunk` and checks
+/// its reply before the next. Returns the still-open connection.
+fn drive_closed(
+    addr: &str,
+    key: ModelKey,
+    chunk: &[Vec<f64>],
+    gate: &ScrapeGate,
+) -> Result<(TcpStream, BufReader<TcpStream>), String> {
+    let (mut writer, mut reader) = connect(addr)?;
+    // Like the open-loop client: no Nagle, and each request leaves in one
+    // write, so the measured round trip is the server's, not a delayed
+    // ACK's.
+    let _ = writer.set_nodelay(true);
+    let mut reply = String::new();
+    for (i, x) in chunk.iter().enumerate() {
+        let mut line = pe_serve::protocol::format_classify(key, x);
+        line.push('\n');
+        writer.write_all(line.as_bytes()).map_err(|e| format!("send: {e}"))?;
+        reply.clear();
+        reader.read_line(&mut reply).map_err(|e| format!("recv: {e}"))?;
+        if !reply.starts_with("ok ") {
+            return Err(format!("unexpected reply {:?}", reply.trim_end()));
+        }
+        gate.reply(i == 0);
+    }
+    Ok((writer, reader))
 }
 
 fn main() -> ExitCode {

@@ -35,7 +35,6 @@
 pub mod linear;
 pub mod mlp;
 pub mod multiclass;
-pub mod pegasos;
 pub mod quantized;
 pub mod validate;
 

@@ -5,11 +5,10 @@
 //! instruments the stack shares, all built on `std` atomics (no
 //! dependencies, `unsafe` forbidden):
 //!
-//! * [`hist`] — lock-free counters, gauges and log-scale latency
-//!   histograms whose snapshots carry plain bucket counts (shards merge
-//!   into an exact aggregate), plus [`RateWindow`] for windowed rates: a
-//!   service that idled through warm-up does not deflate its reported
-//!   throughput forever.
+//! * [`hist`] — lock-free counters, gauges and log-linear latency
+//!   histograms (16 sub-buckets per power of two) whose snapshots carry
+//!   plain bucket counts and read quantiles back within 1/32 of the exact
+//!   order statistic.
 //! * [`trace`] — a fixed-capacity, non-blocking ring of per-request span
 //!   records (`enqueue → coalesce → sweep → verify → reply`). Writers never
 //!   block: a contended slot drops the record and counts the drop. Readers
@@ -28,6 +27,6 @@ pub mod hist;
 pub mod profile;
 pub mod trace;
 
-pub use hist::{Counter, Gauge, HistSnapshot, Histogram, RateWindow};
+pub use hist::{Counter, Gauge, HistSnapshot, Histogram};
 pub use profile::{NullProfile, ProfileRecorder, ProfileSnapshot, SimBatch, SimChunk, SimProfile};
 pub use trace::{RequestTrace, TraceRing};

@@ -97,12 +97,6 @@ impl TraceRing {
         }
     }
 
-    /// Whether records can ever land (capacity > 0).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        !self.slots.is_empty()
-    }
-
     /// Records one trace, assigning its sequence number. Never blocks: if
     /// the claimed slot is momentarily held by a reader (or another writer
     /// that wrapped), the record is dropped and counted.
@@ -187,7 +181,6 @@ mod tests {
     #[test]
     fn zero_capacity_disables_recording() {
         let ring = TraceRing::new(0);
-        assert!(!ring.enabled());
         ring.record(trace("cardio:seq", 10));
         assert!(ring.recent(8).is_empty());
         assert_eq!(ring.recorded(), 0);

@@ -25,14 +25,15 @@
 //!   serving (default), the integer fast path, or verify — both paths
 //!   cross-checked bit-for-bit per batch.
 //! * [`Metrics`] — per-model-key shards of lock-free counters and
-//!   log-scale histograms (built on [`pe_obs`]): throughput (windowed and
-//!   lifetime), queue-wait vs. service-time latency split, batch-fill
-//!   ratio, verify mismatches, and the simulator's per-batch profile; plus
-//!   a Prometheus-style text exposition and a per-request span trace ring.
+//!   log-linear histograms (built on [`pe_obs`]): served and rejected
+//!   counts, queue-wait vs. service-time latency split, batch-fill ratio,
+//!   verify mismatches, and the simulator's per-batch profile, all
+//!   rendered as one Prometheus-style text exposition; plus a per-request
+//!   span trace ring.
 //! * [`protocol`] / [`Server`] — a line-oriented TCP front end (the
 //!   `pe-serve` binary) for driving the service from outside the process.
-//!   `stats` returns one aggregate line; `metrics` and `trace` return
-//!   multi-line observability dumps terminated by `# EOF`.
+//!   `metrics` and `trace` return multi-line observability dumps
+//!   terminated by `# EOF`.
 //!
 //! # Example
 //!
@@ -47,7 +48,7 @@
 //! let entry = registry.get(key);
 //! let (x, _) = entry.prepared.test.sample(0);
 //! let class = service.classify(key, x).unwrap();
-//! println!("class {class}; {}", service.metrics());
+//! println!("class {class}\n{}", service.metrics_text());
 //! ```
 
 pub mod metrics;
@@ -57,7 +58,7 @@ pub mod registry;
 pub mod server;
 pub mod service;
 
-pub use metrics::{FrontendStats, Metrics, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
+pub use metrics::{FrontendStats, Metrics, ModelMetrics, ModelMetricsSnapshot};
 pub use registry::{ModelEntry, ModelKey, ModelRegistry};
 pub use server::Server;
 pub use service::{Intake, ServeError, ServeMode, Service, ServiceConfig, Ticket};

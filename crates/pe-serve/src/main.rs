@@ -5,25 +5,26 @@
 //! pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]
 //!          [--width 1|2|4|8] [--workers N]
 //!          [--capacity N] [--warm key,key,... | --warm-grid]
-//!          [--weight key=W ...] [--max-conns N]
-//!          [--trace-capacity N] [--trace-slow-us N]
+//!          [--max-conns N]
 //! ```
 //!
 //! Keys are `profile:style` tokens (`cardio:seq`, `pendigits:mlp`, …; see
 //! the protocol docs). Warmed models train before the listener opens, so
 //! the first request never pays training latency. See
-//! [`pe_serve::protocol`] for the wire format.
+//! [`pe_serve::protocol`] for the wire format. On a clean shutdown the
+//! server prints its final `metrics` exposition to stderr.
 
 use pe_core::engine::{ProgressSink, StderrProgress};
 use pe_core::pipeline::RunOptions;
 use pe_serve::{ModelKey, ModelRegistry, ServeMode, Server, Service, ServiceConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     addr: String,
     cfg: ServiceConfig,
+    /// Model preparation options; `--width` sets their `lane_width`.
+    opts: RunOptions,
     warm: Vec<ModelKey>,
     max_conns: Option<usize>,
 }
@@ -33,18 +34,11 @@ fn usage() -> ! {
         "usage: pe-serve [--addr HOST:PORT] [--mode gate|int|verify] [--batch-max N]\n\
          \x20               [--width 1|2|4|8] [--workers N]\n\
          \x20               [--capacity N] [--warm key,key,... | --warm-grid]\n\
-         \x20               [--weight key=W ...] [--max-conns N]\n\
-         \x20               [--trace-capacity N] [--trace-slow-us N]\n\
+         \x20               [--max-conns N]\n\
          --width caps the bit-sliced slab width in words (64-512 lanes; lane\n\
          counts accepted) and sets the chunk size of larger batches; each\n\
          batch sweeps the narrowest slab that holds it; default: per-model auto\n\
-         --weight sets a model's weighted-fair admission share (repeatable;\n\
-         e.g. --weight cardio:seq=2 gives it twice the default share)\n\
-         --max-conns caps concurrent connections (default 16384)\n\
-         --trace-capacity sizes the request trace ring (`trace` command;\n\
-         0 disables tracing; default 256)\n\
-         --trace-slow-us only traces batches whose oldest request waited at\n\
-         least this long end to end (default 0: trace every batch)"
+         --max-conns caps concurrent connections (default 16384)"
     );
     std::process::exit(2)
 }
@@ -53,6 +47,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".to_owned(),
         cfg: ServiceConfig::default(),
+        opts: RunOptions::default(),
         warm: vec![ModelKey::parse("cardio:seq").expect("default key parses")],
         max_conns: None,
     };
@@ -68,7 +63,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--width" => {
                 let spec = value("--width")?;
-                args.cfg.lane_width = Some(
+                args.opts.lane_width = Some(
                     pe_sim::LaneWidth::parse(&spec)
                         .ok_or(format!("bad --width {spec:?} (expected 1|2|4|8 words)"))?,
                 );
@@ -80,28 +75,6 @@ fn parse_args() -> Result<Args, String> {
             "--capacity" => {
                 args.cfg.queue_capacity =
                     value("--capacity")?.parse().map_err(|_| "bad --capacity".to_owned())?;
-            }
-            "--trace-capacity" => {
-                args.cfg.trace_capacity = value("--trace-capacity")?
-                    .parse()
-                    .map_err(|_| "bad --trace-capacity".to_owned())?;
-            }
-            "--trace-slow-us" => {
-                let us: u64 = value("--trace-slow-us")?
-                    .parse()
-                    .map_err(|_| "bad --trace-slow-us".to_owned())?;
-                args.cfg.trace_slow = Duration::from_micros(us);
-            }
-            "--weight" => {
-                let spec = value("--weight")?;
-                let (key, w) =
-                    spec.split_once('=').ok_or(format!("bad --weight {spec:?} (key=W)"))?;
-                let key = ModelKey::parse(key)?;
-                let w: f64 = w.parse().map_err(|_| format!("bad --weight value {w:?}"))?;
-                if !(w.is_finite() && w > 0.0) {
-                    return Err(format!("--weight must be positive, got {w}"));
-                }
-                args.cfg.weights.push((key, w));
             }
             "--max-conns" => {
                 args.max_conns =
@@ -127,7 +100,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
+    let registry = Arc::new(ModelRegistry::new(args.opts));
     let mut progress = StderrProgress;
     if !args.warm.is_empty() {
         progress.note(&format!("warming {} model(s)...", args.warm.len()));
@@ -146,7 +119,7 @@ fn main() -> ExitCode {
         server.set_max_conns(max);
     }
     let cfg = service.config();
-    let width = cfg.lane_width.map_or("auto".to_owned(), |w| w.to_string());
+    let width = registry.options().lane_width.map_or("auto".to_owned(), |w| w.to_string());
     eprintln!(
         "pe-serve listening on {} (mode {:?}, batch_max {}, width {}, workers {})",
         server.local_addr(),
@@ -157,6 +130,6 @@ fn main() -> ExitCode {
     );
     let connections = server.run();
     eprintln!("pe-serve: clean shutdown after {connections} connection(s)");
-    eprintln!("{}", service.metrics());
+    eprint!("{}", service.metrics_text());
     ExitCode::SUCCESS
 }

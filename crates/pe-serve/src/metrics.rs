@@ -1,6 +1,6 @@
 //! Service metrics on the [`pe_obs`] kit: per-model-key shards of lock-free
-//! counters and log-scale histograms, with an aggregate snapshot, a
-//! windowed throughput rate and a Prometheus-style text exposition.
+//! counters and log-linear histograms, rendered as one Prometheus-style
+//! text exposition ([`Metrics::prometheus`], the `metrics` wire reply).
 //!
 //! Every model key served gets its own [`ModelMetrics`] shard — counters,
 //! a **queue-wait** histogram (submission until a worker drained the
@@ -9,22 +9,18 @@
 //! simulator's [`SimProfile`](pe_obs::SimProfile) hook. Sharding is what
 //! makes `lane_width` honest under mixed-model traffic: each model reports
 //! the slab width *it* ran at, instead of whichever model's batch happened
-//! to land last. The aggregate snapshot reports the **maximum** width
-//! across shards (documented on [`MetricsSnapshot::lane_width`]).
+//! to land last.
 //!
-//! Two throughput figures: [`MetricsSnapshot::throughput_rps`] is the rate
-//! over the interval since the previous snapshot (a [`RateWindow`]), so a
-//! long warm-up no longer deflates the number forever;
-//! [`MetricsSnapshot::lifetime_rps`] keeps the since-start figure.
+//! Apart from the since-start `pe_lifetime_rps`, the exposition carries
+//! no rate: a rate is the difference between two scrapes of a counter
+//! (`pe_served_total`) over the time between them, which every scraper
+//! measures for itself.
 
 use crate::registry::ModelKey;
-use pe_obs::{
-    Counter, Gauge, HistSnapshot, Histogram, ProfileRecorder, ProfileSnapshot, RateWindow,
-};
+use pe_obs::{Counter, Gauge, HistSnapshot, Histogram, ProfileRecorder, ProfileSnapshot};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// One model key's metric shard. All figures are atomics; submitters and
@@ -137,8 +133,6 @@ impl ModelMetrics {
             lane_width: self.lane_words.load(Ordering::Relaxed),
             sweeps,
             lane_fill: if sweep_capacity == 0 { 0.0 } else { lanes as f64 / sweep_capacity as f64 },
-            batch_lanes: lanes,
-            sweep_capacity,
             queue_wait,
             service_time,
             latency,
@@ -172,14 +166,9 @@ pub struct ModelMetricsSnapshot {
     pub lane_width: u64,
     /// Bit-sliced sweeps executed.
     pub sweeps: u64,
-    /// Mean fraction of the effective lane capacity the sweeps filled.
+    /// Mean fraction of the **effective** lane capacity (`64 * lane_width`
+    /// per sweep, not a hardcoded 64) the executed sweeps filled.
     pub lane_fill: f64,
-    /// Raw lanes (requests) across all batches — the exact numerator the
-    /// fill ratios derive from (lets the aggregate merge without float
-    /// reconstruction).
-    pub batch_lanes: u64,
-    /// Raw lane capacity across all executed sweeps.
-    pub sweep_capacity: u64,
     /// Queue-wait histogram (submission → batch drained).
     pub queue_wait: HistSnapshot,
     /// Service-time histogram (batch drained → reply).
@@ -221,14 +210,11 @@ pub struct FrontendStats {
 }
 
 /// Live metrics for one [`Service`](crate::Service): per-model shards plus
-/// the windowed throughput clock.
+/// the TCP front end's gauges.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
     shards: RwLock<HashMap<ModelKey, Arc<ModelMetrics>>>,
-    /// Interval clock for the windowed `rps` figure; ticked by
-    /// [`Metrics::snapshot`].
-    rate: Mutex<RateWindow>,
     /// TCP front-end gauges (zero without a [`Server`](crate::Server)).
     frontend: FrontendStats,
 }
@@ -238,7 +224,6 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             shards: RwLock::new(HashMap::new()),
-            rate: Mutex::new(RateWindow::new(0)),
             frontend: FrontendStats::default(),
         }
     }
@@ -282,83 +267,10 @@ impl Metrics {
         out
     }
 
-    /// A consistent-enough point-in-time aggregate over every shard
-    /// (counters are read individually; they may straddle an in-flight
-    /// batch by a request or two, which is fine for monitoring).
-    ///
-    /// Ticks the interval clock: `throughput_rps` is the rate since the
-    /// previous `snapshot` call (all callers share one window).
-    #[must_use]
-    pub fn snapshot(&self, batch_max: usize, queue_depth: usize) -> MetricsSnapshot {
-        let shards = self.model_snapshots(batch_max);
-        let mut agg = MetricsSnapshot {
-            submitted: 0,
-            served: 0,
-            rejected: 0,
-            verify_mismatches: 0,
-            batches: 0,
-            gate_cycles: 0,
-            batch_fill: 0.0,
-            lane_width: 0,
-            sweeps: 0,
-            lane_fill: 0.0,
-            p50: Duration::ZERO,
-            p99: Duration::ZERO,
-            queue_p50: Duration::ZERO,
-            queue_p99: Duration::ZERO,
-            service_p50: Duration::ZERO,
-            service_p99: Duration::ZERO,
-            throughput_rps: 0.0,
-            lifetime_rps: 0.0,
-            queue_depth,
-        };
-        let mut lanes = 0u64;
-        let mut sweep_capacity = 0u64;
-        let mut latency = HistSnapshot::default();
-        let mut queue_wait = HistSnapshot::default();
-        let mut service_time = HistSnapshot::default();
-        for (_, s) in &shards {
-            agg.submitted += s.submitted;
-            agg.served += s.served;
-            agg.rejected += s.rejected;
-            agg.verify_mismatches += s.verify_mismatches;
-            agg.batches += s.batches;
-            agg.gate_cycles += s.gate_cycles;
-            agg.lane_width = agg.lane_width.max(s.lane_width);
-            agg.sweeps += s.sweeps;
-            lanes += s.batch_lanes;
-            sweep_capacity += s.sweep_capacity;
-            latency.merge(&s.latency);
-            queue_wait.merge(&s.queue_wait);
-            service_time.merge(&s.service_time);
-        }
-        agg.batch_fill = if agg.batches == 0 {
-            0.0
-        } else {
-            lanes as f64 / (agg.batches as f64 * batch_max.max(1) as f64)
-        };
-        agg.lane_fill =
-            if sweep_capacity == 0 { 0.0 } else { lanes as f64 / sweep_capacity as f64 };
-        agg.p50 = latency.quantile(0.50);
-        agg.p99 = latency.quantile(0.99);
-        agg.queue_p50 = queue_wait.quantile(0.50);
-        agg.queue_p99 = queue_wait.quantile(0.99);
-        agg.service_p50 = service_time.quantile(0.50);
-        agg.service_p99 = service_time.quantile(0.99);
-        let (rate, _window) = self.rate.lock().expect("metrics rate poisoned").tick(agg.served);
-        agg.throughput_rps = rate;
-        let elapsed = self.started.elapsed();
-        agg.lifetime_rps = if elapsed.as_secs_f64() > 0.0 {
-            agg.served as f64 / elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
-        agg
-    }
-
     /// Prometheus-style text exposition: one line per series, `model=`
     /// labels, terminated by `# EOF` (the `metrics` wire reply). Gauges
-    /// carry the aggregate queue depth, both throughput figures and the
+    /// carry the queue depth across all keys, the since-start throughput
+    /// (`pe_lifetime_rps`) and the
     /// front end's connection/readiness instruments (`pe_conn_*`,
     /// `pe_poll_*` — zero without a TCP server);
     /// per-model series carry the shard counters, the queue-wait /
@@ -447,134 +359,6 @@ impl Metrics {
     }
 }
 
-/// A point-in-time aggregate metrics view (see [`Metrics::snapshot`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests answered.
-    pub served: u64,
-    /// Requests rejected for backpressure (`Service::try_submit` on a full
-    /// queue; a request the TCP front end parks and retries is not one).
-    pub rejected: u64,
-    /// Integer-vs-gate-level disagreements seen by verify mode (must stay 0).
-    pub verify_mismatches: u64,
-    /// `run_batch` calls issued.
-    pub batches: u64,
-    /// Gate-level clock cycles simulated.
-    pub gate_cycles: u64,
-    /// Mean fraction of `batch_max` a batch actually filled.
-    pub batch_fill: f64,
-    /// Largest slab width (in 64-lane words) any model's most recent
-    /// gate-level batch ran at. Mixed-model traffic serves different widths
-    /// concurrently; the per-model figure lives in the `metrics` exposition
-    /// ([`Metrics::prometheus`]) — the aggregate reports the maximum, not
-    /// whichever batch happened to land last. Zero until a gate-level batch
-    /// ran (e.g. in `int` mode).
-    pub lane_width: u64,
-    /// Bit-sliced sweeps executed (one sweep evaluates up to
-    /// `64 * lane_width` requests in lockstep).
-    pub sweeps: u64,
-    /// Mean fraction of the **effective** lane capacity (`64 * lane_width`,
-    /// not a hardcoded 64) the executed sweeps actually filled.
-    pub lane_fill: f64,
-    /// Median request latency (enqueue to reply; 2× bucket resolution).
-    pub p50: Duration,
-    /// 99th-percentile request latency.
-    pub p99: Duration,
-    /// Median queue wait (submission until a worker drained the batch).
-    pub queue_p50: Duration,
-    /// 99th-percentile queue wait.
-    pub queue_p99: Duration,
-    /// Median service time (batch drained until reply).
-    pub service_p50: Duration,
-    /// 99th-percentile service time.
-    pub service_p99: Duration,
-    /// Served requests per second over the interval since the **previous**
-    /// snapshot (windowed — a long warm-up no longer deflates it; all
-    /// snapshot callers share one window). Zero on the first snapshot.
-    pub throughput_rps: f64,
-    /// Served requests per second since service start (the old figure).
-    pub lifetime_rps: f64,
-    /// Requests queued at snapshot time.
-    pub queue_depth: usize,
-}
-
-impl MetricsSnapshot {
-    /// One parse-friendly `key=value` line (the `STATS` wire format).
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        format!(
-            "submitted={} served={} rejected={} mismatches={} batches={} gate_cycles={} \
-             fill={:.3} lane_width={} sweeps={} lane_fill={:.3} p50_us={:.1} p99_us={:.1} \
-             queue_p50_us={:.1} queue_p99_us={:.1} svc_p50_us={:.1} svc_p99_us={:.1} \
-             rps={:.1} rps_life={:.1} qdepth={}",
-            self.submitted,
-            self.served,
-            self.rejected,
-            self.verify_mismatches,
-            self.batches,
-            self.gate_cycles,
-            self.batch_fill,
-            self.lane_width,
-            self.sweeps,
-            self.lane_fill,
-            self.p50.as_secs_f64() * 1e6,
-            self.p99.as_secs_f64() * 1e6,
-            self.queue_p50.as_secs_f64() * 1e6,
-            self.queue_p99.as_secs_f64() * 1e6,
-            self.service_p50.as_secs_f64() * 1e6,
-            self.service_p99.as_secs_f64() * 1e6,
-            self.throughput_rps,
-            self.lifetime_rps,
-            self.queue_depth
-        )
-    }
-
-    /// Reads one field out of a [`MetricsSnapshot::to_line`] string.
-    #[must_use]
-    pub fn field(line: &str, key: &str) -> Option<f64> {
-        line.split_whitespace()
-            .find_map(|kv| kv.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
-            .and_then(|v| v.parse().ok())
-    }
-}
-
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "served {} / submitted {} (rejected {}, queued {})",
-            self.served, self.submitted, self.rejected, self.queue_depth
-        )?;
-        writeln!(
-            f,
-            "batches {} (mean fill {:.1}%), {} sweeps at width {} ({:.1}% of {} lanes), \
-             gate cycles {}",
-            self.batches,
-            self.batch_fill * 100.0,
-            self.sweeps,
-            self.lane_width,
-            self.lane_fill * 100.0,
-            self.lane_width * 64,
-            self.gate_cycles
-        )?;
-        writeln!(
-            f,
-            "latency p50 {:.1} µs, p99 {:.1} µs (queue {:.1}/{:.1} µs, service {:.1}/{:.1} µs); \
-             throughput {:.1} req/s lifetime",
-            self.p50.as_secs_f64() * 1e6,
-            self.p99.as_secs_f64() * 1e6,
-            self.queue_p50.as_secs_f64() * 1e6,
-            self.queue_p99.as_secs_f64() * 1e6,
-            self.service_p50.as_secs_f64() * 1e6,
-            self.service_p99.as_secs_f64() * 1e6,
-            self.lifetime_rps
-        )?;
-        write!(f, "verify mismatches {}", self.verify_mismatches)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,27 +380,21 @@ mod tests {
         let shard = m.shard(cardio());
         shard.on_batch(32, 1, 96, 0);
         shard.on_served(Duration::from_micros(400), Duration::from_micros(100));
-        let snap = m.snapshot(64, 0);
-        assert_eq!(snap.submitted, 1);
-        assert_eq!(snap.served, 1);
+        let snap = shard.snapshot(64);
+        assert_eq!((snap.submitted, snap.served, snap.verify_mismatches), (1, 1, 0));
+        assert_eq!(snap.gate_cycles, 96);
         assert!((snap.batch_fill - 0.5).abs() < 1e-9);
         assert_eq!(snap.lane_width, 1);
         assert_eq!(snap.sweeps, 1);
         assert!((snap.lane_fill - 0.5).abs() < 1e-9);
-        assert!(snap.queue_p50 > Duration::ZERO);
-        assert!(snap.service_p50 > Duration::ZERO);
-        let line = snap.to_line();
-        assert_eq!(MetricsSnapshot::field(&line, "served"), Some(1.0));
-        assert_eq!(MetricsSnapshot::field(&line, "mismatches"), Some(0.0));
-        assert_eq!(MetricsSnapshot::field(&line, "gate_cycles"), Some(96.0));
-        assert_eq!(MetricsSnapshot::field(&line, "lane_width"), Some(1.0));
-        assert!(MetricsSnapshot::field(&line, "queue_p50_us").is_some());
-        assert!(MetricsSnapshot::field(&line, "svc_p99_us").is_some());
-        assert!(MetricsSnapshot::field(&line, "rps_life").is_some());
-        assert_eq!(MetricsSnapshot::field(&line, "nope"), None);
-        // Display renders without panicking and mentions the key figures.
-        let text = snap.to_string();
-        assert!(text.contains("verify mismatches 0"));
+        // One sample each: every quantile reads it back within 1/32.
+        for (h, want) in [(&snap.queue_wait, 400.0), (&snap.service_time, 100.0)] {
+            for q in [0.5, 0.99] {
+                let us = h.quantile(q).as_secs_f64() * 1e6;
+                assert!((us - want).abs() <= want / 32.0, "q {q}: {us} µs vs {want} µs");
+            }
+        }
+        assert_eq!(snap.latency.count(), 1);
     }
 
     #[test]
@@ -626,14 +404,14 @@ mod tests {
         // five "batches" worth of lanes instead.
         let m = Metrics::new();
         m.shard(cardio()).on_batch(300, 8, 0, 0);
-        let snap = m.snapshot(512, 0);
+        let snap = m.shard(cardio()).snapshot(512);
         assert_eq!(snap.lane_width, 8);
         assert_eq!(snap.sweeps, 1);
         assert!((snap.lane_fill - 300.0 / 512.0).abs() < 1e-9, "lane_fill {}", snap.lane_fill);
         // Integer-only batches do no sweeps and leave lane accounting alone.
         let int_only = Metrics::new();
         int_only.shard(cardio()).on_batch(10, 0, 0, 0);
-        let snap = int_only.snapshot(64, 0);
+        let snap = int_only.shard(cardio()).snapshot(64);
         assert_eq!(snap.lane_width, 0);
         assert_eq!(snap.sweeps, 0);
         assert_eq!(snap.lane_fill, 0.0);
@@ -643,7 +421,7 @@ mod tests {
     fn per_model_lane_width_survives_mixed_traffic() {
         // The satellite bug: a single global `lane_words` cell meant the
         // last model's batch overwrote every other model's width. Shards
-        // keep each model honest; the aggregate reports the max.
+        // keep each model honest.
         let m = Metrics::new();
         m.shard(cardio()).on_batch(300, 8, 0, 0);
         m.shard(pendigits()).on_batch(10, 1, 0, 0);
@@ -652,30 +430,6 @@ mod tests {
             per_model.iter().map(|(k, s)| (k.token(), s.lane_width)).collect();
         assert_eq!(widths["cardio:seq"], 8);
         assert_eq!(widths["pendigits:seq"], 1);
-        assert_eq!(m.snapshot(512, 0).lane_width, 8, "aggregate reports the max width");
-    }
-
-    #[test]
-    fn windowed_rps_recovers_after_warmup_lifetime_does_not() {
-        let m = Metrics::new();
-        // Simulate a long dead warm-up: the first snapshot's window opens
-        // at Metrics::new(); serve everything "now" and snapshot twice.
-        let shard = m.shard(cardio());
-        let first = m.snapshot(64, 0);
-        assert_eq!(first.served, 0);
-        for _ in 0..100 {
-            shard.on_served(Duration::from_micros(10), Duration::from_micros(10));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        let snap = m.snapshot(64, 0);
-        assert_eq!(snap.served, 100);
-        assert!(snap.throughput_rps > 0.0, "windowed rate must see the interval's serves");
-        assert!(
-            snap.throughput_rps >= snap.lifetime_rps,
-            "interval rate {} must not be deflated below the lifetime figure {}",
-            snap.throughput_rps,
-            snap.lifetime_rps
-        );
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! classify <profile> <style> <f0> <f1> ... <fn>   -> ok <class> | err <msg>
-//! stats                                           -> stats <key=value ...>
 //! metrics                                         -> <exposition lines> ... # EOF
 //! trace [limit]                                   -> <trace lines> ... # EOF
 //! ping                                            -> pong
@@ -15,7 +14,8 @@
 //! `metrics` and `trace` are the only **multi-line** replies: one series /
 //! trace per line, terminated by a literal `# EOF` line, so a line-oriented
 //! client reads until that sentinel. `metrics` is the Prometheus-style
-//! per-model exposition ([`Metrics::prometheus`](crate::Metrics::prometheus));
+//! per-model exposition ([`Metrics::prometheus`](crate::Metrics::prometheus)),
+//! the server's only metrics surface;
 //! `trace` dumps the most recent request span traces, newest first
 //! (default limit 16).
 //!
@@ -42,8 +42,6 @@ pub enum Request {
         /// Normalized feature vector.
         features: Vec<f64>,
     },
-    /// Report a one-line aggregate metrics snapshot.
-    Stats,
     /// Report the multi-line per-model metrics exposition (`# EOF` ends it).
     Metrics,
     /// Dump the most recent request span traces (`# EOF` ends it).
@@ -87,7 +85,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Ok(Request::Classify { key: ModelKey::new(profile, style), features })
         }
-        "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
         "trace" => {
             let limit = match toks.next() {
@@ -98,9 +95,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!(
-            "unknown verb {other:?} (expected classify|stats|metrics|trace|ping|shutdown)"
-        )),
+        other => {
+            Err(format!("unknown verb {other:?} (expected classify|metrics|trace|ping|shutdown)"))
+        }
     }
 }
 
@@ -137,7 +134,6 @@ mod tests {
     #[test]
     fn verbs_are_case_insensitive() {
         assert_eq!(parse_request("PING").unwrap(), Request::Ping);
-        assert_eq!(parse_request("Stats").unwrap(), Request::Stats);
         assert_eq!(parse_request("shutdown").unwrap(), Request::Shutdown);
         assert_eq!(parse_request("METRICS").unwrap(), Request::Metrics);
         assert_eq!(parse_request("trace").unwrap(), Request::Trace { limit: 16 });
@@ -149,6 +145,8 @@ mod tests {
     fn malformed_lines_are_rejected_with_messages() {
         assert!(parse_request("").unwrap_err().contains("empty"));
         assert!(parse_request("frobnicate").unwrap_err().contains("unknown verb"));
+        // `stats` is not a verb: `metrics` is the only metrics surface.
+        assert!(parse_request("stats").unwrap_err().contains("unknown verb"));
         assert!(parse_request("classify").unwrap_err().contains("missing profile"));
         assert!(parse_request("classify cardio").unwrap_err().contains("missing style"));
         assert!(parse_request("classify cardio seq").unwrap_err().contains("missing features"));

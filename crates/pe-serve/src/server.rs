@@ -21,7 +21,7 @@
 //!    an error and discarded up to the next newline),
 //! 4. **pumps** each connection's pipelined reply FIFO — classify requests
 //!    become [`Ticket`]s polled with `try_wait`, immediate
-//!    replies (`ping`, `stats`, …) queue behind them so replies always come
+//!    replies (`ping`, `metrics`, …) queue behind them so replies always come
 //!    back in request order — and
 //! 5. **flushes** write buffers as far as the sockets accept.
 //!
@@ -288,12 +288,6 @@ impl Conn {
                         }
                         Err(e) => self.inflight.push_back(Reply::Ready(format!("err {e}\n"))),
                     }
-                }
-                Ok(Request::Stats) => {
-                    self.inflight.push_back(Reply::Ready(format!(
-                        "stats {}\n",
-                        service.metrics().to_line()
-                    )));
                 }
                 Ok(Request::Metrics) => {
                     // Multi-line reply; metrics_text ends with `# EOF\n`.
@@ -615,14 +609,17 @@ mod tests {
         let line = crate::protocol::format_classify(key, x);
         assert_eq!(send(&mut conn, &mut reader, &line), format!("ok {want}"));
 
-        let stats = send(&mut conn, &mut reader, "stats");
-        assert!(stats.starts_with("stats "), "{stats}");
-        assert!(stats.contains("mismatches=0"), "{stats}");
+        // `stats` is not a verb: `metrics` is the one metrics surface.
+        assert!(send(&mut conn, &mut reader, "stats").starts_with("err unknown verb"));
 
         // The multi-line observability replies, read to the `# EOF` sentinel
         // on the same connection — the next one-line request still works.
         let metrics = send_multi(&mut conn, &mut reader, "metrics");
         assert!(metrics.contains("pe_served_total{model=\"cardio:seq\"} 1"), "{metrics}");
+        assert!(
+            metrics.contains("pe_verify_mismatches_total{model=\"cardio:seq\"} 0"),
+            "{metrics}"
+        );
         assert!(
             metrics.contains("pe_queue_wait_us{model=\"cardio:seq\",quantile=\"0.5\"}"),
             "{metrics}"

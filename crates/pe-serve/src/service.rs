@@ -6,9 +6,10 @@
 //! bitwise ops per gate, which is the entire economic argument for
 //! batching. The slab width `W` (64–512 lanes) is picked per batch as the
 //! narrowest that holds it ([`LaneWidth::for_batch`]), under a per-model cap
-//! — auto-picked, or set via [`ServiceConfig::lane_width`] — that is also
-//! the chunk size of larger batches; the default 64-request batch therefore
-//! sweeps 64 lanes even where the cap is 512.
+//! ([`ModelEntry::lane_width`]: auto-picked, or set through the registry's
+//! [`RunOptions::lane_width`](pe_core::pipeline::RunOptions::lane_width))
+//! that is also the chunk size of larger batches; the default 64-request
+//! batch therefore sweeps 64 lanes even where the cap is 512.
 //!
 //! # Work-conserving flush rule
 //!
@@ -38,17 +39,16 @@
 //! full state (compiled sweep program, slabs, counters) carries across that
 //! worker's batches of the key instead of being rebuilt per batch.
 //!
-//! # Weighted-fair admission
+//! # Fair admission
 //!
 //! Ready batches are picked by **virtual time**, not first-full-first:
-//! each key accrues `lanes × cycles-per-vector / weight` of virtual time as
-//! it is served, a key (re)joining the queue is clamped up to the global
-//! virtual clock (no idle credit hoarding), and the scheduler serves the
-//! ready key with the *smallest* virtual time. A `pendigits:par`
-//! flood therefore cannot starve a `cardio:seq` trickle: the trickle's
-//! virtual time stays pinned at the clock and wins the next free worker,
-//! while the flood's keeps advancing with the work it already got. Weights
-//! ([`ServiceConfig::weights`], default 1.0) scale a key's share.
+//! each key accrues `lanes × cycles-per-vector` of virtual time as it is
+//! served, a key (re)joining the queue is clamped up to the global virtual
+//! clock (no idle credit hoarding), and the scheduler serves the ready key
+//! with the *smallest* virtual time. A `pendigits:par` flood therefore
+//! cannot starve a `cardio:seq` trickle: the trickle's virtual time stays
+//! pinned at the clock and wins the next free worker, while the flood's
+//! keeps advancing with the work it already got.
 //!
 //! Three serving modes ([`ServeMode`]):
 //!
@@ -58,10 +58,11 @@
 //!   ([`QuantizedSvm::predict_int`](pe_ml::QuantizedSvm::predict_int)-class
 //!   fast path, no simulation).
 //! * [`Verify`](ServeMode::Verify) — both per batch, cross-checked
-//!   bit-for-bit; disagreements are counted in
-//!   [`MetricsSnapshot::verify_mismatches`] and must stay zero.
+//!   bit-for-bit; disagreements are counted per model in
+//!   [`ModelMetricsSnapshot::verify_mismatches`](crate::ModelMetricsSnapshot::verify_mismatches)
+//!   (the `pe_verify_mismatches_total` series) and must stay zero.
 
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::Metrics;
 use crate::registry::{ModelEntry, ModelKey, ModelRegistry};
 use pe_obs::{RequestTrace, SimProfile, TraceRing};
 use pe_sim::bitslice::LANES;
@@ -112,30 +113,11 @@ pub struct ServiceConfig {
     /// one-request-per-`run_batch` serving. Under an 8-word cap a batch of
     /// 512 is a single sweep — no splitting.
     pub batch_max: usize,
-    /// Bit-sliced slab width **cap** override. `None` (the default) uses
-    /// each model's auto-picked width ([`ModelEntry::lane_width`]). Either
-    /// way the value is a cap and the chunk size, not a forced width: each
-    /// gate-level batch sweeps at the narrowest slab that holds it, up to
-    /// this cap ([`LaneWidth::for_batch`]).
-    pub lane_width: Option<LaneWidth>,
     /// Bound on queued requests across all keys; beyond it `submit` blocks
     /// and `try_submit` rejects.
     pub queue_capacity: usize,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Capacity of the request trace ring ([`Service::traces`], the `trace`
-    /// wire command). Each executed batch records one span trace for its
-    /// **oldest** request — the worst queue wait of the batch. 0 disables
-    /// tracing entirely.
-    pub trace_capacity: usize,
-    /// Only record traces whose total latency is at least this long. The
-    /// default [`Duration::ZERO`] traces every batch's oldest request;
-    /// raising it turns the ring into a slow-request sampler.
-    pub trace_slow: Duration,
-    /// Weighted-fair admission weights per key (default 1.0 for keys not
-    /// listed). A key with weight 2.0 accrues virtual time half as fast and
-    /// therefore gets twice the service share under contention.
-    pub weights: Vec<(ModelKey, f64)>,
 }
 
 impl Default for ServiceConfig {
@@ -143,29 +125,19 @@ impl Default for ServiceConfig {
         ServiceConfig {
             mode: ServeMode::default(),
             batch_max: LANES,
-            lane_width: None,
             queue_capacity: 4096,
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(2)
                 .min(8),
-            trace_capacity: 256,
-            trace_slow: Duration::ZERO,
-            weights: Vec::new(),
         }
     }
 }
 
-impl ServiceConfig {
-    /// The fair-admission weight of one key (1.0 unless overridden).
-    #[must_use]
-    pub fn weight(&self, key: ModelKey) -> f64 {
-        self.weights
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(1.0, |&(_, w)| if w > 0.0 { w } else { 1.0 })
-    }
-}
+/// Capacity of the request trace ring ([`Service::traces`], the `trace`
+/// wire command). Each executed batch records one span trace for its
+/// **oldest** request — the worst queue wait of the batch.
+pub const TRACE_CAPACITY: usize = 256;
 
 /// Why a request was not answered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,7 +211,7 @@ struct QueueState {
     pending: HashMap<ModelKey, VecDeque<Pending>>,
     total: usize,
     stopping: bool,
-    /// Per-key virtual finish time of the weighted-fair scheduler.
+    /// Per-key virtual finish time of the fair scheduler.
     vt: HashMap<ModelKey, f64>,
     /// The global virtual clock: the virtual time of the last key served.
     /// A key (re)joining an empty queue is clamped **up** to this, so a key
@@ -265,13 +237,13 @@ impl QueueState {
 
     /// Charges a drained batch to its key's virtual time and advances the
     /// global clock.
-    fn charge(&mut self, key: ModelKey, cost: u64, weight: f64) {
+    fn charge(&mut self, key: ModelKey, cost: u64) {
         let vt = self.vt.entry(key).or_insert(self.vclock);
-        *vt += cost as f64 / weight;
+        *vt += cost as f64;
         self.vclock = self.vclock.max(*vt);
     }
 
-    /// The key to flush next under weighted-fair admission: among the
+    /// The key to flush next under fair admission: among the
     /// **ready** queues (a full batch, a shutdown drain, or no batch of the
     /// key in flight), the one with the smallest virtual time — ties broken
     /// by token so scheduling is deterministic regardless of `HashMap`
@@ -311,7 +283,7 @@ impl QueueState {
         }
         self.total -= n;
         let cost: u64 = reqs.iter().map(|r| r.cost).sum();
-        self.charge(key, cost, cfg.weight(key));
+        self.charge(key, cost);
         *self.sweeping.entry(key).or_insert(0) += 1;
         Some((key, reqs))
     }
@@ -384,7 +356,7 @@ impl Service {
         cfg.queue_capacity = cfg.queue_capacity.max(1);
         let shared = Arc::new(Shared {
             registry,
-            traces: TraceRing::new(cfg.trace_capacity),
+            traces: TraceRing::new(TRACE_CAPACITY),
             cfg,
             metrics: Metrics::new(),
             state: Mutex::new(QueueState::default()),
@@ -431,8 +403,8 @@ impl Service {
     }
 
     /// Like [`Service::submit`] but returns [`ServeError::Busy`] instead of
-    /// blocking when the queue is full, counted as a rejection
-    /// ([`MetricsSnapshot::rejected`]).
+    /// blocking when the queue is full, counted as a rejection of the key
+    /// (the `pe_rejected_total` series).
     pub fn try_submit(&self, key: ModelKey, x: &[f64]) -> Result<Ticket, ServeError> {
         let res = self.intake().try_submit(key, x);
         if matches!(res, Err(ServeError::Busy)) {
@@ -468,14 +440,6 @@ impl Service {
         self.shared.state.lock().expect("service queue poisoned").total
     }
 
-    /// A point-in-time aggregate metrics view. Ticks the interval clock:
-    /// [`MetricsSnapshot::throughput_rps`] covers the span since the
-    /// previous `metrics()` call.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot(self.shared.cfg.batch_max, self.queue_depth())
-    }
-
     /// The live metrics store: per-model shards, snapshots and the
     /// Prometheus-style exposition.
     #[must_use]
@@ -491,7 +455,7 @@ impl Service {
     }
 
     /// The most recent `limit` request traces, newest first (the `trace`
-    /// wire reply). Empty when [`ServiceConfig::trace_capacity`] is 0.
+    /// wire reply; the ring holds [`TRACE_CAPACITY`]).
     #[must_use]
     pub fn traces(&self, limit: usize) -> Vec<RequestTrace> {
         self.shared.traces.recent(limit)
@@ -750,9 +714,6 @@ fn run_one_batch(
             // no per-batch simulator construction.
             let warm = warm_sims.entry(key).or_insert_with(|| {
                 let mut sim = entry.simulator();
-                if let Some(w) = shared.cfg.lane_width {
-                    sim.set_lane_width(w);
-                }
                 let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
                 sim.set_profile(Some(profile));
                 WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
@@ -787,33 +748,29 @@ fn run_one_batch(
         // A dropped ticket (caller gave up) is fine; ignore send errors.
         let _ = req.tx.send(Ok(pred));
     }
-    if shared.traces.enabled() {
-        // One trace per batch, for its oldest request — the worst queue
-        // wait this batch inflicted.
-        let now = Instant::now();
-        let queue_wait =
-            oldest.map_or(Duration::ZERO, |enq| drained.saturating_duration_since(enq));
-        let total = oldest.map_or(Duration::ZERO, |enq| now.saturating_duration_since(enq));
-        if total >= shared.cfg.trace_slow {
-            shared.traces.record(RequestTrace {
-                seq: 0,
-                model: key.token(),
-                batch_lanes: lanes,
-                queue_wait,
-                setup: setup_end.saturating_duration_since(drained),
-                sweep,
-                verify,
-                reply: now.saturating_duration_since(reply_start),
-                total,
-                at: now,
-            });
-        }
-    }
+    // One trace per batch, for its oldest request — the worst queue wait
+    // this batch inflicted.
+    let now = Instant::now();
+    let queue_wait = oldest.map_or(Duration::ZERO, |enq| drained.saturating_duration_since(enq));
+    let total = oldest.map_or(Duration::ZERO, |enq| now.saturating_duration_since(enq));
+    shared.traces.record(RequestTrace {
+        seq: 0,
+        model: key.token(),
+        batch_lanes: lanes,
+        queue_wait,
+        setup: setup_end.saturating_duration_since(drained),
+        sweep,
+        verify,
+        reply: now.saturating_duration_since(reply_start),
+        total,
+        at: now,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelMetricsSnapshot;
     use pe_core::pipeline::RunOptions;
     use pe_core::styles::DesignStyle;
     use pe_data::UciProfile;
@@ -824,6 +781,19 @@ mod tests {
 
     fn test_registry() -> Arc<ModelRegistry> {
         Arc::new(ModelRegistry::new(RunOptions::default()))
+    }
+
+    /// A registry whose models cap their slab at `width` (`pe-serve --width`).
+    fn registry_at_width(width: LaneWidth) -> Arc<ModelRegistry> {
+        Arc::new(ModelRegistry::new(RunOptions {
+            lane_width: Some(width),
+            ..RunOptions::default()
+        }))
+    }
+
+    /// The key's metric shard, as the `metrics` exposition reports it.
+    fn shard(svc: &Service, key: ModelKey) -> ModelMetricsSnapshot {
+        svc.metrics_store().shard(key).snapshot(svc.config().batch_max)
     }
 
     fn samples(registry: &ModelRegistry, key: ModelKey, n: usize) -> Vec<Vec<f64>> {
@@ -845,7 +815,7 @@ mod tests {
                 let want = entry.predict_int(&entry.quantize_input(x));
                 assert_eq!(svc.classify(key, x), Ok(want), "mode {mode:?}");
             }
-            let m = svc.metrics();
+            let m = shard(&svc, key);
             assert_eq!(m.verify_mismatches, 0);
             assert_eq!(m.served, 5);
             svc.shutdown();
@@ -878,7 +848,7 @@ mod tests {
         let t2 = svc.try_submit(key, &xs[1]).expect("second fits");
         let err = svc.try_submit(key, &xs[2]).unwrap_err();
         assert_eq!(err, ServeError::Busy);
-        assert_eq!(svc.metrics().rejected, 1);
+        assert_eq!(shard(&svc, key).rejected, 1);
         // Shutdown drains the two queued requests and answers them.
         svc.shutdown();
         assert!(t1.wait().is_ok());
@@ -897,7 +867,7 @@ mod tests {
         );
         let results = svc.classify_batch(key, &xs);
         assert!(results.iter().all(Result::is_ok));
-        let m = svc.metrics();
+        let m = shard(&svc, key);
         assert_eq!(m.served, 128);
         assert_eq!(m.verify_mismatches, 0);
         assert!(m.batches <= 4, "128 requests should land in few batches, got {}", m.batches);
@@ -1054,40 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_scale_the_service_share() {
-        let a = ModelKey::parse("cardio:par").unwrap();
-        let b = ModelKey::parse("cardio:seq").unwrap();
-        let cfg = ServiceConfig {
-            batch_max: 4,
-            workers: 1,
-            weights: vec![(b, 2.0)],
-            ..ServiceConfig::default()
-        };
-        assert_eq!(cfg.weight(a), 1.0);
-        assert_eq!(cfg.weight(b), 2.0);
-        let mut st = QueueState::default();
-        let total = 30 * cfg.batch_max;
-        for _ in 0..total {
-            st.push(a, synthetic(1));
-            st.push(b, synthetic(1));
-        }
-        let (mut served_a, mut served_b) = (0, 0);
-        // Sample mid-contention: while both floods are pending, the weight-2
-        // key must get ~2x the drains of the weight-1 key.
-        for _ in 0..30 {
-            match drain_one(&mut st, &cfg) {
-                Some(k) if k == a => served_a += 1,
-                Some(k) if k == b => served_b += 1,
-                other => panic!("unexpected pick {other:?}"),
-            }
-        }
-        assert!(
-            served_b >= 2 * served_a - 1 && served_b <= 2 * served_a + 2,
-            "weight 2.0 should double the share: a={served_a} b={served_b}"
-        );
-    }
-
-    #[test]
     fn warm_and_cold_serving_agree_with_the_golden_model() {
         // A repeated low-activity stream through a warm verify service:
         // replies identical to the integer model and zero verify mismatches
@@ -1109,7 +1045,7 @@ mod tests {
         for round in 0..3 {
             assert_eq!(svc.classify_batch(key, &xs), want, "round {round}");
         }
-        let m = svc.metrics();
+        let m = shard(&svc, key);
         assert_eq!(m.verify_mismatches, 0);
         assert_eq!(m.served, 3 * 96);
         svc.shutdown();
@@ -1119,27 +1055,42 @@ mod tests {
     fn widened_batch_max_serves_one_batch_in_one_sweep() {
         // batch_max beyond 64 used to split into several 64-lane chunks; at
         // an 8-word slab a 300-request batch is a single 512-lane sweep.
-        let registry = test_registry();
+        let registry = registry_at_width(LaneWidth::W8);
         let key = cardio_seq();
         let xs = samples(&registry, key, 300);
         let svc = Service::start(
             Arc::clone(&registry),
-            ServiceConfig {
-                mode: ServeMode::Verify,
-                batch_max: 512,
-                lane_width: Some(LaneWidth::W8),
-                ..ServiceConfig::default()
-            },
+            ServiceConfig { mode: ServeMode::Verify, batch_max: 512, ..ServiceConfig::default() },
         );
         let results = svc.classify_batch(key, &xs);
         assert!(results.iter().all(Result::is_ok));
-        let m = svc.metrics();
+        let m = shard(&svc, key);
         assert_eq!(m.served, 300);
         assert_eq!(m.verify_mismatches, 0);
-        assert_eq!(m.lane_width, 8, "stats must surface the slab width");
+        assert_eq!(m.lane_width, 8, "the shard must surface the slab width");
         assert!(m.batches <= 2, "300 requests at batch_max 512, got {} batches", m.batches);
         assert!(m.sweeps <= 2, "one 512-lane sweep should cover 300 lanes, got {}", m.sweeps);
         assert!(m.lane_fill > 0.5, "lane_fill {} must be against 512, not 64", m.lane_fill);
+    }
+
+    #[test]
+    fn the_registry_width_caps_the_served_slab() {
+        // `pe-serve --width 2` sets the registry's `RunOptions::lane_width`:
+        // the same 300-request batch that is one 512-lane sweep under the
+        // 8-word auto cap becomes three 128-lane sweeps.
+        let registry = registry_at_width(LaneWidth::W2);
+        let key = cardio_seq();
+        assert_eq!(registry.get(key).lane_width, LaneWidth::W2);
+        let xs = samples(&registry, key, 300);
+        let svc = Service::start(
+            Arc::clone(&registry),
+            ServiceConfig { mode: ServeMode::Verify, batch_max: 512, ..ServiceConfig::default() },
+        );
+        assert!(svc.classify_batch(key, &xs).iter().all(Result::is_ok));
+        let m = shard(&svc, key);
+        assert_eq!((m.served, m.verify_mismatches), (300, 0));
+        assert_eq!(m.lane_width, 2, "the cap bounds the slab");
+        assert_eq!(m.sweeps, 3 * m.batches, "each 300-request batch is three 128-lane sweeps");
     }
 
     #[test]
@@ -1156,7 +1107,7 @@ mod tests {
         let want: Vec<_> =
             xs.iter().map(|x| Ok(entry.predict_int(&entry.quantize_input(x)))).collect();
         assert_eq!(svc.classify_batch(key, &xs), want);
-        let m = svc.metrics();
+        let m = shard(&svc, key);
         assert_eq!(m.batches, 2, "two full 64-request batches");
         assert_eq!(m.sweeps, 2);
         assert_eq!(m.lane_width, 1, "a 64-request batch sweeps one word");
@@ -1179,7 +1130,7 @@ mod tests {
                 ServiceConfig { mode: ServeMode::Verify, batch_max, ..ServiceConfig::default() };
             let svc = Service::start(Arc::clone(&registry), cfg);
             assert!(svc.classify_batch(key, &xs).iter().all(Result::is_ok));
-            let m = svc.metrics_store().shard(key).snapshot(batch_max);
+            let m = shard(&svc, key);
             svc.shutdown();
             assert_eq!((m.served, m.verify_mismatches), (xs.len() as u64, 0));
             assert_eq!(m.profile.sweeps, m.sweeps);

@@ -15,7 +15,6 @@
 
 use pe_core::engine::NullSink;
 use pe_core::pipeline::RunOptions;
-use pe_obs::HistSnapshot;
 use pe_serve::{ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
 use pe_sim::{BatchMode, LaneWidth};
 use std::sync::Arc;
@@ -56,10 +55,13 @@ fn predict_int_matches_gate_level_across_the_table1_grid() {
             served += size as u64;
         }
     }
-    let m = service.metrics();
-    assert_eq!(m.verify_mismatches, 0, "per-batch verify must never fire");
-    assert_eq!(m.served, served);
-    assert!(m.batches >= 20 * RAGGED_SIZES.len() as u64, "batches {}", m.batches);
+    let shards = service.metrics_store().model_snapshots(service.config().batch_max);
+    assert_eq!(shards.len(), keys.len(), "one shard per model key");
+    for (key, s) in &shards {
+        assert_eq!(s.verify_mismatches, 0, "{}: per-batch verify must never fire", key.token());
+        assert!(s.batches >= RAGGED_SIZES.len() as u64, "{} batches {}", key.token(), s.batches);
+    }
+    assert_eq!(shards.iter().map(|(_, s)| s.served).sum::<u64>(), served);
     service.shutdown();
     assert!(service.is_stopped());
 }
@@ -83,11 +85,10 @@ fn low_activity_rows(entry: &pe_serve::ModelEntry, n: usize, period: usize) -> V
 
 #[test]
 fn concurrent_model_shards_stay_disjoint_and_merge_into_the_aggregate() {
-    // The observability satellite: two model keys hammered from many
-    // threads at once. Each metric shard must account exactly its own
-    // key's traffic (disjoint histograms), the aggregate snapshot must be
-    // the bucket-wise merge of the shards, and the `metrics` exposition
-    // must parse back field-for-field against the shard snapshots.
+    // Two model keys hammered from many threads at once. Each metric shard
+    // must account exactly its own key's traffic (disjoint histograms),
+    // and the `metrics` exposition — the one place shards are merged for a
+    // reader — must parse back field-for-field against the shard snapshots.
     let registry = Arc::new(ModelRegistry::new(RunOptions::default()));
     let keys = [ModelKey::parse("cardio:seq").unwrap(), ModelKey::parse("cardio:par").unwrap()];
     registry.warm(&keys, pe_core::engine::default_threads(keys.len()), &mut NullSink);
@@ -138,30 +139,6 @@ fn concurrent_model_shards_stay_disjoint_and_merge_into_the_aggregate() {
         assert!(s.profile.batches >= 1, "{} sim profile fed", key.token());
         assert!(s.profile.cell_evals > 0, "{} sim profile cell evals", key.token());
     }
-
-    // The aggregate is the merge of the shards: counters sum, the width is
-    // the max, quantiles come from the bucket-wise merged histograms.
-    let agg = service.metrics();
-    assert_eq!(agg.submitted, per_key * keys.len() as u64);
-    assert_eq!(agg.served, per_key * keys.len() as u64);
-    assert_eq!(agg.batches, shards.iter().map(|(_, s)| s.batches).sum::<u64>());
-    assert_eq!(agg.gate_cycles, shards.iter().map(|(_, s)| s.gate_cycles).sum::<u64>());
-    assert_eq!(agg.sweeps, shards.iter().map(|(_, s)| s.sweeps).sum::<u64>());
-    assert_eq!(agg.lane_width, shards.iter().map(|(_, s)| s.lane_width).max().unwrap());
-    let mut latency = HistSnapshot::default();
-    let mut queue_wait = HistSnapshot::default();
-    let mut service_time = HistSnapshot::default();
-    for (_, s) in &shards {
-        latency.merge(&s.latency);
-        queue_wait.merge(&s.queue_wait);
-        service_time.merge(&s.service_time);
-    }
-    assert_eq!(agg.p50, latency.quantile(0.50));
-    assert_eq!(agg.p99, latency.quantile(0.99));
-    assert_eq!(agg.queue_p50, queue_wait.quantile(0.50));
-    assert_eq!(agg.queue_p99, queue_wait.quantile(0.99));
-    assert_eq!(agg.service_p50, service_time.quantile(0.50));
-    assert_eq!(agg.service_p99, service_time.quantile(0.99));
 
     // The wire exposition parses back field-for-field against the shards.
     let text = service.metrics_text();

@@ -12,8 +12,8 @@
 //! against flood quantiles from the same per-model metric shards — so the
 //! test measures scheduling order, not machine speed, and stays
 //! deterministic on loaded CI boxes. The fine-grained virtual-time
-//! properties (exact interleave positions, weight scaling, the
-//! work-conserving flush rule) are pinned by the deterministic unit tests in
+//! properties (exact interleave positions, the work-conserving flush
+//! rule) are pinned by the deterministic unit tests in
 //! `pe_serve::service`; this suite checks the same policy end to end
 //! through real worker threads and metric shards.
 
@@ -36,13 +36,7 @@ fn a_trickle_is_not_starved_behind_a_flood() {
     // batch cheap — the test is about queueing, not gate evaluation.
     let service = Service::start(
         Arc::clone(&registry),
-        ServiceConfig {
-            mode: ServeMode::Int,
-            workers: 1,
-            batch_max: 64,
-            queue_capacity: 4096,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { mode: ServeMode::Int, workers: 1, batch_max: 64, queue_capacity: 4096 },
     );
 
     const FLOOD: usize = 1024; // 16 serial batches of 64

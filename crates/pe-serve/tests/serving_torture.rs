@@ -181,8 +181,8 @@ fn interleaved_pipelined_requests_reply_in_order() {
     let (line, want) = classify_line();
     // One write carrying a burst of mixed requests — classifications that
     // go through the async service ticket path, instant replies (ping),
-    // stats, and malformed lines — replies must come back in request
-    // order, errors included, nothing dropped.
+    // an unknown verb (stats), and malformed lines — replies must come back
+    // in request order, errors included, nothing dropped.
     let burst = format!("{line}\nping\nnonsense\n{line}\nstats\nclassify cardio seq 0.5\nping\n");
     let mut conn = TcpStream::connect(h.addr).unwrap();
     let mut reader = BufReader::new(conn.try_clone().unwrap());
@@ -191,7 +191,7 @@ fn interleaved_pipelined_requests_reply_in_order() {
     assert_eq!(read_reply(&mut reader), "pong");
     assert!(read_reply(&mut reader).starts_with("err "), "bad command must reply in order");
     assert_eq!(read_reply(&mut reader), want);
-    assert!(read_reply(&mut reader).starts_with("stats "), "stats must reply in order");
+    assert!(read_reply(&mut reader).starts_with("err unknown verb"), "stats must reply in order");
     assert_eq!(read_reply(&mut reader), "err expected 21 features, got 1");
     assert_eq!(read_reply(&mut reader), "pong");
 
@@ -202,10 +202,17 @@ fn interleaved_pipelined_requests_reply_in_order() {
     conn.flush().unwrap();
     std::thread::sleep(Duration::from_millis(1));
     conn.write_all(&bytes[split..]).unwrap();
-    for (i, expect) in
-        [&want, "pong", "err ", &want, "stats ", "err expected 21 features, got 1", "pong"]
-            .iter()
-            .enumerate()
+    for (i, expect) in [
+        &want,
+        "pong",
+        "err ",
+        &want,
+        "err unknown verb",
+        "err expected 21 features, got 1",
+        "pong",
+    ]
+    .iter()
+    .enumerate()
     {
         let reply = read_reply(&mut reader);
         assert!(reply.starts_with(*expect), "burst reply {i}: {reply:?}");
@@ -340,6 +347,6 @@ fn buffered_lines_are_answered_after_a_half_close() {
         .find_map(|l| l.strip_prefix("pe_conn_parked_total ").map(|v| v.parse::<u64>().unwrap()))
         .expect("metrics exposition has pe_conn_parked_total");
     assert!(parked > 0, "a four-slot queue must park some of {REQUESTS} pipelined requests");
-    let m = h.service.metrics();
+    let m = h.service.metrics_store().shard(key()).snapshot(h.service.config().batch_max);
     assert_eq!((m.served, m.rejected), (REQUESTS as u64, 0), "{m:?}");
 }

@@ -57,7 +57,6 @@ pub mod bitslice;
 pub mod collapse;
 pub mod faults;
 pub mod sim;
-pub mod vcd;
 pub mod warm;
 
 pub use activity::{ActivityReport, ToggleCounters};
