@@ -13,18 +13,21 @@
 //!   checked.
 //! * **Open loop** (`--tcp ADDR --open`): one nonblocking client event
 //!   loop multiplexing `--conns` concurrent connections (thousands),
-//!   pipelining every request up front so arrivals never wait on replies.
+//!   pipelining each half of a connection's requests at once so arrivals
+//!   never wait on replies.
 //!   **Any** protocol error — a non-`ok` reply, an early server EOF, an
 //!   unsolicited reply — fails the run.
 //!
-//! Both modes scrape the `metrics` exposition **mid-run**: the scrape
-//! starts once every classify connection has had a reply and at least
-//! half of all replies are in (reply counts, not a timer), and every
-//! classify connection stays open until it returns. The run fails unless
-//! the per-model series and the front end's `pe_conn_*` gauges are present
-//! and non-zero, and unless `pe_conn_open` counts every classify
-//! connection plus the scrape's own. At the end one more exposition is
-//! read, and the run **fails on any verify mismatch or rejected request**
+//! Both modes scrape the `metrics` exposition **mid-run**. Each classify
+//! connection sends the first half of its requests, then holds the rest
+//! back, open, until the scrape has returned; the scrape starts once every
+//! first-half reply is in (reply counts, not a timer). The run fails
+//! unless the per-model series and the front end's `pe_conn_*` gauges are
+//! present and non-zero, unless `pe_conn_open` counts every classify
+//! connection plus the scrape's own, and unless `pe_served_total` is still
+//! below the run's request count — the scrape must see work to come, not
+//! an idle server. At the end one more exposition is read, and the run
+//! **fails on any verify mismatch or rejected request**
 //! (`pe_verify_mismatches_total`, `pe_rejected_total`).
 //!
 //! `--shutdown` asks the server to drain and exit at the end (the CI smoke
@@ -77,23 +80,40 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let tcp = tcp.ok_or("--tcp HOST:PORT is required (the address of a running pe-serve)")?;
-    Ok(Args { key, requests: requests.max(1), tcp, conns: conns.max(1), open, shutdown })
+    let conns = conns.max(1);
+    if requests < 2 * conns {
+        return Err(format!(
+            "--requests {requests} is below 2 x --conns {conns}: every connection needs a \
+             second half of requests to hold back until the mid-run scrape has returned"
+        ));
+    }
+    Ok(Args { key, requests, tcp, conns, open, shutdown })
 }
 
-/// Holds the mid-run scrape back until the run is genuinely mid-way: every
-/// classify connection has had a reply and at least half of all replies
-/// are in. Classify connections stay open until the scrape has returned
-/// ([`ScrapeGate::close`]), so `pe_conn_open` reads them all.
+/// How many of a connection's `per_conn` requests it sends before the
+/// mid-run scrape: the first half, at least one, leaving at least one to
+/// hold back when `per_conn >= 2`.
+fn first_half(per_conn: usize) -> usize {
+    per_conn.div_ceil(2)
+}
+
+/// Splits the run around the mid-run scrape: every connection sends the
+/// [`first_half`] of its requests, then holds the rest back until the
+/// scrape has returned ([`ScrapeGate::close`]). The gate opens once every
+/// first-half reply is in, so the scrape reads a server with every classify
+/// connection open and the second halves still to come.
 struct ScrapeGate {
     conns: usize,
+    /// Requests in the whole run.
     total: usize,
+    /// Replies that open the gate: the first halves of every connection.
+    held: usize,
     state: Mutex<GateState>,
     changed: Condvar,
 }
 
 #[derive(Default)]
 struct GateState {
-    replied_conns: usize,
     replies: usize,
     /// A connection failed, so the trigger may never hold.
     aborted: bool,
@@ -102,8 +122,14 @@ struct GateState {
 }
 
 impl ScrapeGate {
-    fn new(conns: usize, total: usize) -> Self {
-        ScrapeGate { conns, total, state: Mutex::default(), changed: Condvar::new() }
+    fn new(conns: usize, per_conn: usize) -> Self {
+        ScrapeGate {
+            conns,
+            total: conns * per_conn,
+            held: conns * first_half(per_conn),
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        }
     }
 
     fn update(&self, f: impl FnOnce(&mut GateState)) {
@@ -111,12 +137,9 @@ impl ScrapeGate {
         self.changed.notify_all();
     }
 
-    /// Counts one reply; `first` when it is its connection's first.
-    fn reply(&self, first: bool) {
-        self.update(|st| {
-            st.replies += 1;
-            st.replied_conns += usize::from(first);
-        });
+    /// Counts one reply.
+    fn reply(&self) {
+        self.update(|st| st.replies += 1);
     }
 
     /// A classify connection failed: releases the scrape and the held
@@ -125,9 +148,14 @@ impl ScrapeGate {
         self.update(|st| st.aborted = true);
     }
 
-    /// The scrape has returned: held connections may close.
+    /// The scrape has returned: held requests may go.
     fn close(&self) {
         self.update(|st| st.closed = true);
+    }
+
+    /// Whether the scrape has returned.
+    fn is_closed(&self) -> bool {
+        self.state.lock().expect("scrape gate poisoned").closed
     }
 
     /// Blocks until the scrape may start; false if a connection failed
@@ -136,9 +164,7 @@ impl ScrapeGate {
         let st = self.state.lock().expect("scrape gate poisoned");
         let st = self
             .changed
-            .wait_while(st, |st| {
-                !st.aborted && (st.replied_conns < self.conns || 2 * st.replies < self.total)
-            })
+            .wait_while(st, |st| !st.aborted && st.replies < self.held)
             .expect("scrape gate poisoned");
         !st.aborted
     }
@@ -152,7 +178,7 @@ impl ScrapeGate {
     /// Runs the mid-run scrape once the gate opens, then closes it.
     fn scrape(&self, addr: &str, key: ModelKey) -> Result<f64, String> {
         let res = if self.wait_open() {
-            scrape_metrics(addr, key, self.conns)
+            scrape_metrics(addr, key, self.conns, self.total)
         } else {
             Err("a classify connection failed before the mid-run scrape".to_owned())
         };
@@ -211,9 +237,11 @@ fn series_sum(text: &str, name: &str) -> Option<f64> {
 /// unless the per-model series for `key` — and the non-blocking front
 /// end's `pe_conn_*`/`pe_poll_*` gauges — are present and non-zero, and
 /// unless `pe_conn_open` counts the `conns` classify connections plus this
-/// scrape's own: the CI smoke assertion that the observability plumbing is
-/// actually live, not just parseable. Returns the mid-run `pe_conn_open`.
-fn scrape_metrics(addr: &str, key: ModelKey, conns: usize) -> Result<f64, String> {
+/// scrape's own, and unless `pe_served_total` is below the run's `total`
+/// requests: the CI smoke assertion that the observability plumbing is
+/// actually live, not just parseable, and read mid-run. Returns the
+/// mid-run `pe_conn_open`.
+fn scrape_metrics(addr: &str, key: ModelKey, conns: usize, total: usize) -> Result<f64, String> {
     let (mut writer, mut reader) = connect(addr)?;
     let text = read_exposition(&mut writer, &mut reader)?;
     let model = key.token();
@@ -234,13 +262,19 @@ fn scrape_metrics(addr: &str, key: ModelKey, conns: usize) -> Result<f64, String
         }
     }
     let conn_open = series(&text, "pe_conn_open").unwrap_or(0.0);
+    let served = per_model("pe_served_total").unwrap_or(0.0);
     println!(
-        "tcp: mid-run metrics scrape ok ({} series; {:.0} served so far, {conn_open:.0} conns \
-         open, peak {:.0})",
+        "tcp: mid-run metrics scrape ok ({} series; {served:.0} of {total} served so far, \
+         {conn_open:.0} conns open, peak {:.0})",
         text.lines().filter(|l| !l.starts_with('#')).count(),
-        per_model("pe_served_total").unwrap_or(0.0),
         series(&text, "pe_conn_open_peak").unwrap_or(0.0),
     );
+    if served >= total as f64 {
+        return Err(format!(
+            "mid-run pe_served_total {served} is not below the run's {total} requests: the \
+             scrape read an idle server"
+        ));
+    }
     if conn_open < (conns + 1) as f64 {
         return Err(format!(
             "mid-run pe_conn_open {conn_open} below the {conns} classify connections this \
@@ -292,23 +326,25 @@ struct OpenConn {
     stream: TcpStream,
     out: Vec<u8>,
     opos: usize,
+    /// End offset in `out` of the [`first_half`] of the requests: writing
+    /// stops here until the mid-run scrape has returned.
+    hold: usize,
     /// End offset in `out` of each not-yet-fully-written request line.
     line_ends: std::collections::VecDeque<usize>,
     /// Flush timestamp of each written-but-unanswered request.
     sent_at: std::collections::VecDeque<Instant>,
     rbuf: Vec<u8>,
     replies_due: usize,
-    /// Whether any reply line has arrived yet (for the [`ScrapeGate`]).
-    replied: bool,
     eof: bool,
 }
 
 /// Open-loop TCP mode: one nonblocking event loop multiplexing
 /// `args.conns` concurrent connections (the high-connection acceptance
-/// run). Every request is pipelined up front — arrivals never wait on
-/// replies — and per-request latency runs from last-byte-flushed to
-/// reply-line-parsed. Any protocol error fails the run; the mid-run scrape
-/// must see the front end's connection gauges at the expected level.
+/// run). Each half of a connection's requests is pipelined at once —
+/// arrivals never wait on replies — and per-request latency runs from
+/// last-byte-flushed to reply-line-parsed. Any protocol error fails the
+/// run; the mid-run scrape must see the front end's connection gauges at
+/// the expected level.
 fn run_open_tcp(args: &Args) -> Result<(), String> {
     let addr = args.tcp.as_str();
     let n_features = args.key.profile.spec().n_features;
@@ -349,19 +385,19 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
         }
         conns.push(OpenConn {
             stream,
+            hold: line_ends[first_half(per_conn) - 1],
             out,
             opos: 0,
             line_ends,
             sent_at: std::collections::VecDeque::new(),
             rbuf: Vec::new(),
             replies_due: per_conn,
-            replied: false,
             eof: false,
         });
     }
     println!("tcp open-loop: ramp complete in {:.2}s", t_ramp.elapsed().as_secs_f64());
 
-    let gate = ScrapeGate::new(args.conns, total);
+    let gate = ScrapeGate::new(args.conns, per_conn);
     let hist = pe_obs::Histogram::new();
     let t0 = Instant::now();
     let (pumped, dt, scraped) = std::thread::scope(|scope| {
@@ -373,7 +409,8 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
         }
         (pumped, dt, scrape.join().expect("metrics scrape thread panicked"))
     });
-    // Every connection stayed open until the scrape had read the gauges.
+    // Every connection stayed open until its second half was answered,
+    // after the scrape had read the gauges.
     drop(conns);
     let (replies, errors) = pumped?;
     scraped?;
@@ -395,7 +432,8 @@ fn run_open_tcp(args: &Args) -> Result<(), String> {
 
 /// The open-loop event loop: writes, reads and parses every connection
 /// until each request has a reply line, feeding `gate` and recording each
-/// `ok` reply's latency. Returns `(ok replies, protocol errors)`.
+/// `ok` reply's latency. Writes stop at each connection's `hold` until
+/// the gate has closed. Returns `(ok replies, protocol errors)`.
 fn pump_open(
     conns: &mut [OpenConn],
     total: usize,
@@ -416,12 +454,14 @@ fn pump_open(
             ));
         }
         let mut progressed = false;
+        let released = gate.is_closed();
         for conn in conns.iter_mut() {
             if conn.replies_due == 0 {
                 continue;
             }
-            while conn.opos < conn.out.len() {
-                match conn.stream.write(&conn.out[conn.opos..]) {
+            let end = if released { conn.out.len() } else { conn.hold };
+            while conn.opos < end {
+                match conn.stream.write(&conn.out[conn.opos..end]) {
                     Ok(0) => {
                         conn.eof = true;
                         break;
@@ -458,7 +498,7 @@ fn pump_open(
             }
             while let Some(i) = conn.rbuf.iter().position(|&b| b == b'\n') {
                 let line: Vec<u8> = conn.rbuf.drain(..=i).collect();
-                gate.reply(!std::mem::replace(&mut conn.replied, true));
+                gate.reply();
                 let Some(sent) = conn.sent_at.pop_front() else {
                     errors += 1; // unsolicited reply
                     continue;
@@ -498,7 +538,7 @@ fn run_tcp(args: &Args) -> Result<(), String> {
     let vectors: Vec<Vec<f64>> = (0..args.conns * per_conn)
         .map(|_| (0..n_features).map(|_| rng.gen::<f64>()).collect())
         .collect();
-    let gate = ScrapeGate::new(args.conns, vectors.len());
+    let gate = ScrapeGate::new(args.conns, per_conn);
     let t0 = Instant::now();
     let results: Vec<Result<usize, String>> = std::thread::scope(|scope| {
         // While the connection threads hammer the server, one extra thread
@@ -509,13 +549,7 @@ fn run_tcp(args: &Args) -> Result<(), String> {
             .chunks(per_conn)
             .map(|chunk| {
                 scope.spawn(move || match drive_closed(addr, args.key, chunk, gate) {
-                    Ok(held) => {
-                        // Hold the connection open until the scrape has
-                        // counted it.
-                        gate.wait_closed();
-                        drop(held);
-                        Ok(chunk.len())
-                    }
+                    Ok(()) => Ok(chunk.len()),
                     Err(e) => {
                         gate.abort();
                         Err(e)
@@ -542,13 +576,14 @@ fn run_tcp(args: &Args) -> Result<(), String> {
 }
 
 /// One closed-loop connection: sends each request of `chunk` and checks
-/// its reply before the next. Returns the still-open connection.
+/// its reply before the next, holding the connection open after the
+/// [`first_half`] until the mid-run scrape has returned.
 fn drive_closed(
     addr: &str,
     key: ModelKey,
     chunk: &[Vec<f64>],
     gate: &ScrapeGate,
-) -> Result<(TcpStream, BufReader<TcpStream>), String> {
+) -> Result<(), String> {
     let (mut writer, mut reader) = connect(addr)?;
     // Like the open-loop client: no Nagle, and each request leaves in one
     // write, so the measured round trip is the server's, not a delayed
@@ -564,9 +599,12 @@ fn drive_closed(
         if !reply.starts_with("ok ") {
             return Err(format!("unexpected reply {:?}", reply.trim_end()));
         }
-        gate.reply(i == 0);
+        gate.reply();
+        if i + 1 == first_half(chunk.len()) {
+            gate.wait_closed();
+        }
     }
-    Ok((writer, reader))
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -1,5 +1,5 @@
 //! Benchmark harness for the DATE'25 sequential-SVM paper: shared driver
-//! code used by the `table1`, `claims`, `figure1` and `ablations` binaries
+//! code used by the `table1`, `experiments`, `figure1` and `ablations` binaries
 //! and by the bench targets.
 //!
 //! All grid evaluation goes through [`pe_core::engine::ExperimentEngine`]:

@@ -22,10 +22,9 @@
 //!   while the final table stays in grid order.
 //! * **Word-parallel simulation** — each job's gate-level verify/activity
 //!   batch runs on the bit-sliced engine (64 test vectors per machine word,
-//!   see `pe_sim::bitslice`) selected by
-//!   [`RunOptions::batch_mode`](crate::pipeline::RunOptions); grids can be
-//!   differentially re-run on the scalar reference engine by flipping that
-//!   option.
+//!   see `pe_sim::bitslice`). The pipeline's own tests re-run a cell on the
+//!   scalar reference engine and check the power and energy come out
+//!   bit-identical.
 //!
 //! # Example
 //!

@@ -20,7 +20,7 @@ use pe_ml::mlp::{Mlp, MlpTrainParams};
 use pe_ml::multiclass::{MulticlassScheme, SvmModel};
 use pe_ml::{QuantizedMlp, QuantizedSvm};
 use pe_netlist::Netlist;
-use pe_sim::{BatchMode, LaneWidth, Simulator};
+use pe_sim::{LaneWidth, Simulator};
 
 /// Options shared by all experiments.
 #[derive(Debug, Clone)]
@@ -37,10 +37,6 @@ pub struct RunOptions {
     pub lib: EgfetLibrary,
     /// Technology parameters.
     pub tech: TechParams,
-    /// Which engine runs the gate-level verification/activity batch. The
-    /// word-parallel bit-sliced engine is the default; the scalar reference
-    /// is selectable so whole-pipeline runs can be differentially checked.
-    pub batch_mode: BatchMode,
     /// Slab width for the bit-sliced engine: how many 64-lane words each
     /// net's packed value spans (64–512 vectors per topological sweep).
     /// `None` picks a per-model default from the netlist size
@@ -58,7 +54,6 @@ impl Default for RunOptions {
             max_sim_samples: 120,
             lib: EgfetLibrary::standard(),
             tech: TechParams::standard(),
-            batch_mode: BatchMode::default(),
             lane_width: None,
         }
     }
@@ -283,6 +278,29 @@ pub fn cycles_per_inference(style: DesignStyle, prepared: &Prepared) -> u64 {
     }
 }
 
+/// The first `n` test samples (at most the whole test set) quantized onto
+/// the model's input grid, with the integer golden model's class for each.
+fn golden_vectors(prepared: &Prepared, n: usize) -> (Vec<Vec<i64>>, Vec<usize>) {
+    prepared
+        .test
+        .features()
+        .iter()
+        .take(n)
+        .map(|x| match &prepared.model {
+            PreparedModel::Svm(q) => {
+                let xq = q.quantize_input(x);
+                let g = q.predict_int(&xq);
+                (xq, g)
+            }
+            PreparedModel::Mlp(q) => {
+                let xq = q.quantize_input(x);
+                let g = q.predict_int(&xq);
+                (xq, g)
+            }
+        })
+        .unzip()
+}
+
 /// Runs one full Table-I cell-row: see the [module docs](self).
 ///
 /// This is the canonical single-job entry point; grid runs go through
@@ -319,28 +337,8 @@ pub fn run_prepared(
 
     // Gate-level verification + activity extraction over test samples, in
     // one batched simulator call.
-    let n_sim = prepared.test.len().min(opts.max_sim_samples);
-    let mut vectors = Vec::with_capacity(n_sim);
-    let mut goldens = Vec::with_capacity(n_sim);
-    for i in 0..n_sim {
-        let (x, _) = prepared.test.sample(i);
-        let (x_q, golden) = match &prepared.model {
-            PreparedModel::Svm(q) => {
-                let xq = q.quantize_input(x);
-                let g = q.predict_int(&xq);
-                (xq, g)
-            }
-            PreparedModel::Mlp(q) => {
-                let xq = q.quantize_input(x);
-                let g = q.predict_int(&xq);
-                (xq, g)
-            }
-        };
-        vectors.push(x_q);
-        goldens.push(golden);
-    }
+    let (vectors, goldens) = golden_vectors(prepared, opts.max_sim_samples);
     let mut sim = Simulator::new(&nl).expect("generated designs are acyclic");
-    sim.set_batch_mode(opts.batch_mode);
     sim.set_lane_width(opts.lane_width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&nl)));
     sim.enable_activity();
     let cycles_per_vector = if style == DesignStyle::SequentialSvm { cycles } else { 0 };
@@ -454,22 +452,42 @@ mod tests {
         }
     }
 
+    /// The pipeline's gate-level half re-run on the scalar reference
+    /// engine: the same netlist and vectors `run_prepared` simulates, at the
+    /// same lane width, with the scalar activity handed to `analyze_power`.
+    /// Returns `(mismatches, dynamic_mw, energy_mj)`.
+    fn scalar_reference(opts: &RunOptions) -> (usize, f64, f64) {
+        let style = DesignStyle::SequentialSvm;
+        let prepared = prepare_model(UciProfile::Cardio, style, opts);
+        let nl = build_netlist(style, &prepared);
+        let cycles = cycles_per_inference(style, &prepared);
+        let (vectors, goldens) = golden_vectors(&prepared, opts.max_sim_samples);
+        let mut sim = Simulator::new(&nl).unwrap();
+        sim.set_batch_mode(pe_sim::BatchMode::Scalar);
+        sim.set_lane_width(opts.lane_width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&nl)));
+        sim.enable_activity();
+        let outputs = sim.run_batch(&vectors, cycles, "class").outputs;
+        let mismatches = outputs.iter().zip(&goldens).filter(|(&y, &g)| y as usize != g).count();
+        let timing = pe_synth::analyze_timing(&nl, &opts.lib, &opts.tech).unwrap();
+        let power =
+            pe_synth::analyze_power(&nl, &opts.lib, &opts.tech, &sim.activity(), timing.freq_hz)
+                .unwrap();
+        let latency_ms = cycles as f64 * timing.clock_period_ms;
+        let energy_mj = power.total_mw * latency_ms / 1000.0;
+        (mismatches, power.dynamic_mw, energy_mj)
+    }
+
     #[test]
     fn scalar_and_bitsliced_engines_agree_end_to_end() {
         // System-level differential check: the whole Table-I cell must come
         // out bit-identical whichever batch engine simulates it, energy
         // included (energy is a pure function of the toggle counts).
-        let sliced = run_experiment(UciProfile::Cardio, DesignStyle::SequentialSvm, &fast_opts());
-        let scalar = run_experiment(
-            UciProfile::Cardio,
-            DesignStyle::SequentialSvm,
-            &RunOptions { batch_mode: pe_sim::BatchMode::Scalar, ..fast_opts() },
-        );
-        assert_eq!(sliced.mismatches, scalar.mismatches);
-        assert_eq!(sliced.accuracy_pct, scalar.accuracy_pct);
-        assert_eq!(sliced.dynamic_mw, scalar.dynamic_mw);
-        assert_eq!(sliced.power_mw, scalar.power_mw);
-        assert_eq!(sliced.energy_mj, scalar.energy_mj);
+        let opts = fast_opts();
+        let sliced = run_experiment(UciProfile::Cardio, DesignStyle::SequentialSvm, &opts);
+        let (mismatches, dynamic_mw, energy_mj) = scalar_reference(&opts);
+        assert_eq!(sliced.mismatches, mismatches);
+        assert_eq!(sliced.dynamic_mw, dynamic_mw);
+        assert_eq!(sliced.energy_mj, energy_mj);
     }
 
     #[test]
@@ -477,24 +495,12 @@ mod tests {
         // Same differential check at an explicit wide slab: the sequential
         // chunk size (64·W vectors) is part of the batch contract, so both
         // engines must be pinned to the same width to compare energies.
-        let wide = run_experiment(
-            UciProfile::Cardio,
-            DesignStyle::SequentialSvm,
-            &RunOptions { lane_width: Some(LaneWidth::W4), ..fast_opts() },
-        );
-        let scalar = run_experiment(
-            UciProfile::Cardio,
-            DesignStyle::SequentialSvm,
-            &RunOptions {
-                batch_mode: pe_sim::BatchMode::Scalar,
-                lane_width: Some(LaneWidth::W4),
-                ..fast_opts()
-            },
-        );
-        assert_eq!(wide.mismatches, 0);
-        assert_eq!(wide.accuracy_pct, scalar.accuracy_pct);
-        assert_eq!(wide.dynamic_mw, scalar.dynamic_mw);
-        assert_eq!(wide.energy_mj, scalar.energy_mj);
+        let opts = RunOptions { lane_width: Some(LaneWidth::W4), ..fast_opts() };
+        let wide = run_experiment(UciProfile::Cardio, DesignStyle::SequentialSvm, &opts);
+        let (mismatches, dynamic_mw, energy_mj) = scalar_reference(&opts);
+        assert_eq!((wide.mismatches, mismatches), (0, 0));
+        assert_eq!(wide.dynamic_mw, dynamic_mw);
+        assert_eq!(wide.energy_mj, energy_mj);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's sequential SVMs exist to classify *streams* of sensor
 //! samples; this crate turns the reproduction into the corresponding
 //! server. The economics come straight from `pe-sim`'s word-parallel
-//! engine: one [`run_batch`](pe_sim::Simulator::run_batch) call evaluates
+//! engine: one [`run_batch`](pe_sim::WarmSimulator::run_batch) call evaluates
 //! up to 64 packed requests with a single bitwise op per gate, so a batch
 //! of 64 coalesced requests costs roughly what one request costs served
 //! alone. The service's whole job is to keep those lanes full without
@@ -14,9 +14,8 @@
 //!
 //! * [`ModelRegistry`] — trains, quantizes and elaborates each
 //!   `(dataset, style)` model exactly once (the engine-style memoization
-//!   from `pe-core`), caching the netlist plus its reusable
-//!   [`Schedule`](pe_sim::Schedule) so workers stamp out simulators
-//!   without re-levelizing.
+//!   from `pe-core`) and caches the netlist; each worker builds its warm
+//!   engine from it once ([`ModelEntry::warm_simulator`]).
 //! * [`Service`] — the batcher and hand-rolled worker pool: a bounded
 //!   pending queue with blocking backpressure, and work-conserving
 //!   per-key coalescing into ≤64-lane batches: a request waits only while

@@ -1,18 +1,19 @@
-//! The model registry: prepared models, elaborated netlists and reusable
-//! simulator schedules, memoized per `(dataset, style)`.
+//! The model registry: prepared models and elaborated netlists, memoized
+//! per `(dataset, style)`.
 //!
 //! Serving a classification request needs everything `pe-core`'s pipeline
 //! produces *before* the per-request work: a trained-and-quantized model
-//! (the integer golden reference), its bespoke netlist, and the netlist's
-//! topological [`Schedule`]. All three are immutable once built, so the
-//! registry computes them exactly once per key — the same
+//! (the integer golden reference) and its bespoke netlist. Both are
+//! immutable once built, so the registry computes them exactly once per key — the same
 //! `Mutex<HashMap<_, Arc<OnceLock<_>>>>` discipline as
 //! `pe_core::engine`'s model cache, which keeps concurrent first requests
 //! for the *same* key serialized while distinct keys train in parallel —
-//! and hands out [`Arc`]s that workers hold for the lifetime of a batch.
+//! and hands out [`Arc`]s. Each service worker builds its own warm engine
+//! from an entry once ([`ModelEntry::warm_simulator`]) and keeps it next to
+//! the entry's `Arc`.
 //!
 //! Admission is gated on static analysis: every netlist is linted
-//! ([`pe_lint::lint_netlist`]) before it is scheduled, and a netlist
+//! ([`pe_lint::lint_netlist`]) before it is served, and a netlist
 //! carrying any Error-severity diagnostic (combinational cycle,
 //! multi-driven net, …) is refused — [`ModelRegistry::try_get`] returns the
 //! [`LintReport`] instead of an entry, and the refusal is memoized like a
@@ -25,7 +26,7 @@ use pe_core::pipeline::{
 use pe_core::styles::DesignStyle;
 use pe_data::UciProfile;
 use pe_lint::{lint_netlist, LintReport};
-use pe_sim::{LaneWidth, Schedule, Simulator};
+use pe_sim::{LaneWidth, WarmSimulator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -140,9 +141,6 @@ pub struct ModelEntry {
     pub prepared: Prepared,
     /// The elaborated bespoke netlist.
     pub netlist: pe_netlist::Netlist,
-    /// The netlist's topological schedule, computed once; workers stamp out
-    /// per-batch simulators from it without re-levelizing.
-    pub schedule: Schedule,
     /// `run_batch` cycles per vector: the class count for the sequential
     /// style, 0 (combinational settle) for the parallel styles.
     pub cycles_per_vector: u64,
@@ -161,7 +159,7 @@ pub struct ModelEntry {
 /// # Errors
 ///
 /// Returns the full [`LintReport`] when the netlist carries any
-/// Error-severity diagnostic — such a design must not be scheduled, let
+/// Error-severity diagnostic — such a design must not be simulated, let
 /// alone served. Warn/Info diagnostics (dead cells, constant outputs) are
 /// admission-clean: the generated Table-I designs legitimately carry them.
 pub fn admit_netlist(nl: &pe_netlist::Netlist) -> Result<(), LintReport> {
@@ -178,24 +176,22 @@ impl ModelEntry {
         let prepared = prepare_model(key.profile, key.style, opts);
         let netlist = build_netlist(key.style, &prepared);
         admit_netlist(&netlist)?;
-        let schedule = Schedule::new(&netlist).expect("linted designs are acyclic");
         let cycles_per_vector = if key.style == DesignStyle::SequentialSvm {
             cycles_per_inference(key.style, &prepared)
         } else {
             0
         };
         let lane_width = opts.lane_width.unwrap_or_else(|| LaneWidth::auto_for_netlist(&netlist));
-        Ok(ModelEntry { key, prepared, netlist, schedule, cycles_per_vector, lane_width })
+        Ok(ModelEntry { key, prepared, netlist, cycles_per_vector, lane_width })
     }
 
-    /// A fresh gate-level simulator over this entry's netlist, constructed
-    /// from the cached schedule (no levelization) and set to the entry's
-    /// slab width.
+    /// A warm serving engine over this entry's netlist, at power-on and
+    /// capped at the entry's [`lane_width`](ModelEntry::lane_width). It
+    /// holds no borrow: pass [`ModelEntry::netlist`] to every
+    /// [`run_batch`](WarmSimulator::run_batch).
     #[must_use]
-    pub fn simulator(&self) -> Simulator<'_> {
-        let mut sim = Simulator::with_schedule(&self.netlist, &self.schedule);
-        sim.set_lane_width(self.lane_width);
-        sim
+    pub fn warm_simulator(&self) -> WarmSimulator {
+        WarmSimulator::new(&self.netlist, self.lane_width).expect("linted designs are acyclic")
     }
 
     /// Number of input features a request must carry.
@@ -351,9 +347,9 @@ mod tests {
         assert_eq!(x_q.len(), a.num_features());
         let class = a.predict_int(&x_q);
         assert!(class < 3, "Cardio has 3 classes");
-        // The cached schedule stamps out working simulators.
-        let mut sim = a.simulator();
-        let r = sim.run_batch(&[x_q], a.cycles_per_vector, "class");
+        // The entry builds a working warm engine.
+        let mut sim = a.warm_simulator();
+        let r = sim.run_batch(&a.netlist, &[x_q], a.cycles_per_vector, "class");
         assert_eq!(r.outputs[0] as usize, class, "gate level must match the golden model");
     }
 

@@ -1,7 +1,7 @@
 //! The batch-coalescing classification service.
 //!
 //! Requests are submitted per [`ModelKey`] and coalesced into lanes of one
-//! word-parallel [`run_batch`](pe_sim::Simulator::run_batch) call: the
+//! word-parallel [`run_batch`](pe_sim::WarmSimulator::run_batch) call: the
 //! bit-sliced engine evaluates up to `64 * W` requests per sweep with `W`
 //! bitwise ops per gate, which is the entire economic argument for
 //! batching. The slab width `W` (64–512 lanes) is picked per batch as the
@@ -709,14 +709,14 @@ fn run_one_batch(
             (int_preds, 0, 0, 0)
         }
         ServeMode::Gate | ServeMode::Verify => {
-            // The warm path: reuse (or seed, first time) this worker's
+            // The warm path: reuse (or build, first time) this worker's
             // long-lived slab engine for the key. Reattach is a pure move —
             // no per-batch simulator construction.
             let warm = warm_sims.entry(key).or_insert_with(|| {
-                let mut sim = entry.simulator();
+                let mut sim = entry.warm_simulator();
                 let profile: Arc<dyn SimProfile> = Arc::clone(shard.profile()) as _;
                 sim.set_profile(Some(profile));
-                WarmEntry { entry: Arc::clone(&entry), sim: sim.warm() }
+                WarmEntry { entry: Arc::clone(&entry), sim }
             });
             // The slab this batch actually sweeps; the configured width is
             // only the cap (chunk size).

@@ -10,13 +10,13 @@
 //! golden model.
 //!
 //! The warm-stream test feeds repeated and near-constant feature rows
-//! through the per-worker warm engine and pins its predictions *and*
-//! [`pe_sim::ToggleCounters`] to the scalar reference at every lane width.
+//! through the per-worker warm engine and pins its predictions *and* its
+//! per-net toggle counts to the scalar reference at every lane width.
 
 use pe_core::engine::NullSink;
 use pe_core::pipeline::RunOptions;
 use pe_serve::{ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
-use pe_sim::{BatchMode, LaneWidth};
+use pe_sim::{BatchMode, LaneWidth, Simulator, WarmSimulator};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -209,13 +209,9 @@ fn warm_stream_is_bit_identical_at_every_lane_width() {
         .collect();
 
     for width in [LaneWidth::W1, LaneWidth::W2, LaneWidth::W4, LaneWidth::W8] {
-        let mut warm = {
-            let mut sim = entry.simulator();
-            sim.set_lane_width(width);
-            sim.enable_activity();
-            sim.warm()
-        };
-        let mut scalar = entry.simulator();
+        let mut warm = WarmSimulator::new(&entry.netlist, width).unwrap();
+        warm.enable_activity();
+        let mut scalar = Simulator::new(&entry.netlist).unwrap();
         scalar.set_batch_mode(BatchMode::Scalar);
         scalar.set_lane_width(width);
         scalar.enable_activity();
@@ -226,7 +222,7 @@ fn warm_stream_is_bit_identical_at_every_lane_width() {
             // Fresh dense per-batch simulation and the integer golden model
             // agree on every prediction.
             let fresh = {
-                let mut sim = entry.simulator();
+                let mut sim = Simulator::new(&entry.netlist).unwrap();
                 sim.set_lane_width(width);
                 sim.run_batch(vectors, entry.cycles_per_vector, "class")
             };

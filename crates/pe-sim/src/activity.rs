@@ -4,11 +4,11 @@
 //! toggle counts over a known number of clock cycles. Power analysis in
 //! `pe-synth` multiplies these by per-cell switching energies.
 //!
-//! [`ToggleCounters`] is the raw accumulator both simulation engines write
-//! into: the scalar engine bumps one net at a time, the bit-sliced engine
-//! ([`crate::bitslice`]) hands in a 64-lane XOR difference word and the
-//! counter popcounts it, so one instruction accounts the toggles of up to 64
-//! test vectors. Because both engines fold into the same counters, activity
+//! The crate-private `ToggleCounters` is the raw accumulator both simulation
+//! engines write into: the scalar engine bumps one net at a time, the
+//! bit-sliced engine ([`crate::bitslice`]) hands in a masked XOR-difference
+//! slab and the counter popcounts it, so one call accounts the toggles of up
+//! to `64 * W` test vectors. Because both engines fold into the same counters, activity
 //! (and therefore energy) reports are directly comparable between them.
 
 use pe_netlist::NetId;
@@ -18,7 +18,7 @@ use pe_netlist::NetId;
 /// A disabled counter set is an empty vector; every accounting call is a
 /// no-op then, which keeps the simulator hot loops branch-cheap.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ToggleCounters {
+pub(crate) struct ToggleCounters {
     counts: Vec<u64>,
 }
 
@@ -47,14 +47,6 @@ impl ToggleCounters {
         self.counts[net_index] += 1;
     }
 
-    /// Accounts up to 64 toggles of one net at once: `lanes` is the masked
-    /// XOR of the net's old and new packed values, each set bit one lane
-    /// whose value changed (the bit-sliced engine's path).
-    #[inline]
-    pub fn bump_packed(&mut self, net_index: usize, lanes: u64) {
-        self.counts[net_index] += u64::from(lanes.count_ones());
-    }
-
     /// Accounts up to `64 * W` toggles of one net at once: `lanes` is a
     /// masked XOR-difference slab (see [`crate::bitslice`] for the slab
     /// layout), each set bit one lane whose value changed. The popcounts are
@@ -80,12 +72,6 @@ impl ToggleCounters {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
-    }
-
-    /// The raw counters, indexed by [`NetId::index`].
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Snapshot into an [`ActivityReport`] over `cycles` accounted cycles.
@@ -205,14 +191,14 @@ mod tests {
                 scalar.bump(1);
             }
         }
-        packed.bump_packed(0, diff0);
-        packed.bump_packed(1, diff1);
+        packed.bump_packed_wide(0, &[diff0]);
+        packed.bump_packed_wide(1, &[diff1]);
         assert_eq!(scalar, packed);
-        assert_eq!(packed.counts(), &[3, 1]);
+        assert_eq!(packed.report(4), ActivityReport::new(vec![3, 1], 4));
         // Merging doubles the counts.
         let snapshot = packed.clone();
         packed.merge(&snapshot);
-        assert_eq!(packed.counts(), &[6, 2]);
+        assert_eq!(packed.report(4), ActivityReport::new(vec![6, 2], 4));
         assert_eq!(packed.report(4).total_toggles(), 8);
     }
 
@@ -222,11 +208,11 @@ mod tests {
         let mut wide = ToggleCounters::enabled(1);
         let slab = [0b1011u64, !0, 0, 1 << 63];
         for &w in &slab {
-            narrow.bump_packed(0, w);
+            narrow.bump_packed_wide(0, &[w]);
         }
         wide.bump_packed_wide(0, &slab);
         assert_eq!(narrow, wide);
-        assert_eq!(wide.counts(), &[3 + 64 + 1]);
+        assert_eq!(wide.report(1).total_toggles(), 3 + 64 + 1);
     }
 
     #[test]

@@ -94,9 +94,6 @@ use std::collections::HashMap;
 /// `LANES * W` lanes).
 pub const LANES: usize = 64;
 
-/// Largest supported slab width in words (`MAX_WIDTH * LANES` lanes).
-pub const MAX_WIDTH: usize = 8;
-
 /// Runtime-selectable slab width of the bit-sliced engine: how many `u64`
 /// words (and therefore how many `64 * W` packed test vectors) one
 /// topological sweep carries. Each variant selects a monomorphized
@@ -135,18 +132,6 @@ impl LaneWidth {
     #[must_use]
     pub fn lanes(self) -> usize {
         LANES * self.words()
-    }
-
-    /// The width with the given word count, if supported.
-    #[must_use]
-    pub fn from_words(words: usize) -> Option<Self> {
-        match words {
-            1 => Some(LaneWidth::W1),
-            2 => Some(LaneWidth::W2),
-            4 => Some(LaneWidth::W4),
-            8 => Some(LaneWidth::W8),
-            _ => None,
-        }
     }
 
     /// Parses a CLI-style width spec: a word count (`1`/`2`/`4`/`8`) or a
@@ -203,18 +188,6 @@ impl LaneWidth {
 impl std::fmt::Display for LaneWidth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.words())
-    }
-}
-
-/// A mask with one bit set per active lane of a (possibly ragged) chunk.
-#[inline]
-#[must_use]
-pub fn lane_mask(active: usize) -> u64 {
-    debug_assert!((1..=LANES).contains(&active));
-    if active >= LANES {
-        !0
-    } else {
-        (1u64 << active) - 1
     }
 }
 
@@ -361,6 +334,13 @@ impl<const W: usize> DetachedSlab<W> {
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
         self.cell_evals
+    }
+
+    /// Enables per-net toggle counting (and clears any previous counts),
+    /// like [`BitSlicedSimulator::enable_activity`].
+    pub(crate) fn enable_activity(&mut self) {
+        self.toggles = ToggleCounters::enabled(self.num_nets);
+        self.cycles = 0;
     }
 
     /// Snapshot of the switching activity accumulated so far.
@@ -625,12 +605,6 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         self.order.len()
     }
 
-    /// The netlist under simulation.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        self.nl
-    }
-
     /// Packed vectors one sweep of this simulator carries (`64 * W`).
     #[must_use]
     pub fn lanes(&self) -> usize {
@@ -803,10 +777,8 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// # Panics
     ///
     /// Panics if `nl` does not have the net/cell counts the state was
-    /// detached with. This is a shape check, not a full connectivity
-    /// fingerprint: the warm path reattaches the *same* long-lived netlist
-    /// every batch, and the full fingerprint was already paid once at
-    /// [`Simulator::with_schedule`](crate::Simulator::with_schedule).
+    /// detached with. This is a shape check only: the warm path reattaches
+    /// the *same* long-lived netlist it was built from every batch.
     #[must_use]
     pub(crate) fn reattach(nl: &Netlist, slab: DetachedSlab<W>) -> BitSlicedSimulator<'_, W> {
         assert!(
@@ -1689,9 +1661,9 @@ mod tests {
 
     #[test]
     fn lane_mask_edges() {
-        assert_eq!(lane_mask(1), 1);
-        assert_eq!(lane_mask(63), (1u64 << 63) - 1);
-        assert_eq!(lane_mask(64), !0);
+        assert_eq!(lane_mask_wide::<1>(1), [1]);
+        assert_eq!(lane_mask_wide::<1>(63), [(1u64 << 63) - 1]);
+        assert_eq!(lane_mask_wide::<1>(64), [!0]);
     }
 
     #[test]
@@ -1714,13 +1686,11 @@ mod tests {
     #[test]
     fn lane_width_knob_round_trips() {
         for w in LaneWidth::ALL {
-            assert_eq!(LaneWidth::from_words(w.words()), Some(w));
             assert_eq!(LaneWidth::parse(&w.to_string()), Some(w));
             assert_eq!(LaneWidth::parse(&w.lanes().to_string()), Some(w));
             assert_eq!(w.lanes(), 64 * w.words());
         }
         assert_eq!(LaneWidth::parse("3"), None);
-        assert_eq!(LaneWidth::from_words(16), None);
         assert_eq!(LaneWidth::default(), LaneWidth::W1);
         assert_eq!(LaneWidth::for_sites(1), LaneWidth::W1);
         assert_eq!(LaneWidth::for_sites(64), LaneWidth::W1);

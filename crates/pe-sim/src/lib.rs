@@ -22,6 +22,11 @@
 //! against at every width. See [`bitslice`] for the slab layout, masking
 //! rules and batch semantics.
 //!
+//! Serving workers answer batch after batch of one model on a
+//! [`WarmSimulator`], built straight from the netlist by
+//! [`WarmSimulator::new`]: the slab engine stays allocated and keeps its
+//! state across batches, without borrowing the netlist (see [`warm`]).
+//!
 //! Stuck-at fault campaigns have one surface: [`faults::fault_campaign_comb`]
 //! / [`faults::fault_campaign_seq`] by default, the `_ppsfp_wide_obs` pair
 //! for an explicit width, cone mode and profile hook, and
@@ -59,11 +64,11 @@ pub mod faults;
 pub mod sim;
 pub mod warm;
 
-pub use activity::{ActivityReport, ToggleCounters};
+pub use activity::ActivityReport;
 pub use bitslice::{BitSlicedSimulator, LaneWidth};
 pub use collapse::{
     fault_campaign_comb_ppsfp_collapsed, fault_campaign_seq_ppsfp_collapsed, CollapseStats,
 };
 pub use faults::{ConeMode, ConeStats, FaultReport, FaultSite};
-pub use sim::{BatchMode, BatchResult, Schedule, Simulator};
+pub use sim::{BatchMode, BatchResult, Simulator};
 pub use warm::WarmSimulator;

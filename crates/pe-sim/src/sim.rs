@@ -2,7 +2,7 @@
 
 use crate::activity::{ActivityReport, ToggleCounters};
 use crate::bitslice::{BitSlicedSimulator, LaneWidth};
-use pe_netlist::{CellId, CellKind, Driver, Netlist, NetlistError, PortDir};
+use pe_netlist::{CellId, CellKind, Netlist, NetlistError, PortDir};
 use pe_obs::SimProfile;
 use std::collections::HashMap;
 
@@ -20,65 +20,6 @@ pub enum BatchMode {
     /// 64 vectors per `u64` per net (see [`crate::bitslice`]).
     #[default]
     BitSliced,
-}
-
-/// The reusable scheduling of a netlist: the topological order of its
-/// combinational cells plus its sequential cells, computed once by
-/// [`Schedule::new`] and shared by every simulator built over the same
-/// netlist.
-///
-/// Levelization is the only super-linear part of simulator construction, so
-/// long-lived owners of a netlist (the serving-path model registry, fault
-/// campaigns spawning per-worker simulators) compute a `Schedule` once and
-/// stamp out simulators with [`Simulator::with_schedule`] — a pure
-/// allocation, no graph traversal.
-#[derive(Debug, Clone)]
-pub struct Schedule {
-    /// Topological order of combinational cells.
-    order: Vec<CellId>,
-    /// All sequential cells.
-    regs: Vec<CellId>,
-    /// Connectivity fingerprint of the netlist this schedule was computed
-    /// for (guards against pairing a schedule with the wrong netlist).
-    fingerprint: u64,
-}
-
-/// Hashes a netlist's cell connectivity (every cell's output and input
-/// nets, in id order) — cheap, and two structurally different netlists
-/// virtually never collide.
-fn connectivity_fingerprint(nl: &Netlist) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    nl.num_nets().hash(&mut h);
-    for (id, cell) in nl.cells() {
-        id.hash(&mut h);
-        cell.output().hash(&mut h);
-        cell.inputs().hash(&mut h);
-    }
-    h.finish()
-}
-
-impl Schedule {
-    /// Levelizes a netlist: topological order of the combinational core plus
-    /// the sequential cell list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] if the design's
-    /// combinational core is cyclic.
-    pub fn new(nl: &Netlist) -> Result<Self, NetlistError> {
-        let order = pe_netlist::graph::topo_order(nl)?;
-        let regs: Vec<CellId> =
-            nl.cells().filter(|(_, c)| c.kind().is_sequential()).map(|(id, _)| id).collect();
-        Ok(Schedule { order, regs, fingerprint: connectivity_fingerprint(nl) })
-    }
-
-    /// Whether this schedule was computed for a netlist with this exact
-    /// cell connectivity.
-    #[must_use]
-    pub fn matches(&self, nl: &Netlist) -> bool {
-        self.fingerprint == connectivity_fingerprint(nl)
-    }
 }
 
 /// A cycle-based simulator over a borrowed [`Netlist`].
@@ -110,7 +51,7 @@ pub struct Simulator<'nl> {
     /// Nets pinned by [`Simulator::force_net`]; never updated by evaluation.
     frozen: Vec<bool>,
     /// Engine selection for [`Simulator::run_batch`].
-    batch_mode: BatchMode,
+    engine: BatchMode,
     /// Slab width of [`Simulator::run_batch`]: how many vectors one chunk
     /// carries (`64 * W`). Part of the sequential chunked-streaming
     /// contract, so *both* engines honor it — the scalar reference chunks
@@ -132,28 +73,9 @@ impl<'nl> Simulator<'nl> {
     /// Returns [`NetlistError::CombinationalCycle`] if the design's
     /// combinational core is cyclic.
     pub fn new(nl: &'nl Netlist) -> Result<Self, NetlistError> {
-        Ok(Self::with_schedule(nl, &Schedule::new(nl)?))
-    }
-
-    /// Builds a simulator from an already-computed [`Schedule`], skipping
-    /// levelization. This is the cheap path for serving workers and
-    /// campaigns that stamp out many simulators over one long-lived netlist;
-    /// behavior is identical to [`Simulator::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` was computed for a different netlist shape.
-    #[must_use]
-    pub fn with_schedule(nl: &'nl Netlist, schedule: &Schedule) -> Self {
-        assert!(
-            schedule.matches(nl),
-            "schedule was computed for a different netlist than {:?} ({} nets / {} cells)",
-            nl.name(),
-            nl.num_nets(),
-            nl.num_cells()
-        );
-        let order = schedule.order.clone();
-        let regs = schedule.regs.clone();
+        let order = pe_netlist::graph::topo_order(nl)?;
+        let regs: Vec<CellId> =
+            nl.cells().filter(|(_, c)| c.kind().is_sequential()).map(|(id, _)| id).collect();
         let mut input_ports = HashMap::new();
         let mut output_ports = HashMap::new();
         for p in nl.ports() {
@@ -180,56 +102,25 @@ impl<'nl> Simulator<'nl> {
             cycles: 0,
             scratch: Vec::new(),
             frozen: vec![false; nl.num_nets()],
-            batch_mode: BatchMode::default(),
+            engine: BatchMode::default(),
             lane_width: LaneWidth::default(),
             profile: None,
         };
         sim.reset();
-        sim
-    }
-
-    /// The netlist under simulation.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        self.nl
-    }
-
-    /// Seeds a lifetime-free [`WarmSimulator`](crate::WarmSimulator) from
-    /// this simulator's schedule, settled state and configuration
-    /// (lane width, activity tracking, profile hook).
-    ///
-    /// Where [`Simulator::run_batch`] stamps out a fresh slab engine per
-    /// call — copying every net and register into new slabs — the warm
-    /// simulator keeps the engine's state *across* batches. Holding no
-    /// netlist borrow, it can
-    /// live inside the same struct (or thread) that owns the netlist; pass
-    /// the netlist back in on every
-    /// [`run_batch`](crate::WarmSimulator::run_batch) call.
-    #[must_use]
-    pub fn warm(&self) -> crate::WarmSimulator {
-        crate::warm::WarmSimulator::from_scalar_parts(
-            self.order.clone(),
-            self.regs.clone(),
-            self.values.clone(),
-            self.state.clone(),
-            self.frozen.clone(),
-            self.lane_width,
-            self.toggles.is_enabled(),
-            self.profile.clone(),
-        )
+        Ok(sim)
     }
 
     /// Selects which engine executes [`Simulator::run_batch`]. The default
     /// is [`BatchMode::BitSliced`]; tests pin the fast path against
     /// [`BatchMode::Scalar`], the reference implementation.
     pub fn set_batch_mode(&mut self, mode: BatchMode) {
-        self.batch_mode = mode;
+        self.engine = mode;
     }
 
     /// The currently selected batch engine.
     #[must_use]
     pub fn batch_mode(&self) -> BatchMode {
-        self.batch_mode
+        self.engine
     }
 
     /// Selects the chunk size of [`Simulator::run_batch`]: `64 * W` vectors
@@ -259,12 +150,6 @@ impl<'nl> Simulator<'nl> {
     /// profiled: it exists as a correctness oracle, not a production path.
     pub fn set_profile(&mut self, profile: Option<std::sync::Arc<dyn SimProfile>>) {
         self.profile = profile;
-    }
-
-    /// The installed observability hook, if any.
-    #[must_use]
-    pub fn profile(&self) -> Option<&std::sync::Arc<dyn SimProfile>> {
-        self.profile.as_ref()
     }
 
     /// Enables per-net toggle counting (and clears any previous counts).
@@ -327,23 +212,6 @@ impl<'nl> Simulator<'nl> {
         assert!(value >= min && value <= max, "value {value} does not fit {w}-bit port {port}");
         for (i, &b) in bits.iter().enumerate() {
             self.values[b.index()] = (value >> i) & 1 == 1;
-        }
-    }
-
-    /// Drives an input port bit-by-bit (LSB first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist or widths mismatch.
-    pub fn set_input_bits(&mut self, port: &str, bits: &[bool]) {
-        let nets = self
-            .input_ports
-            .get(port)
-            .unwrap_or_else(|| panic!("no input port named {port:?}"))
-            .clone();
-        assert_eq!(nets.len(), bits.len(), "width mismatch for port {port}");
-        for (&n, &v) in nets.iter().zip(bits) {
-            self.values[n.index()] = v;
         }
     }
 
@@ -534,7 +402,7 @@ impl<'nl> Simulator<'nl> {
         cycles_per_vector: u64,
         out_port: &str,
     ) -> BatchResult {
-        match self.batch_mode {
+        match self.engine {
             BatchMode::Scalar => self.run_batch_scalar(vectors, cycles_per_vector, out_port),
             BatchMode::BitSliced => self.run_batch_sliced(vectors, cycles_per_vector, out_port),
         }
@@ -656,39 +524,6 @@ pub struct BatchResult {
     pub outputs: Vec<i64>,
     /// Clock cycles accounted by this batch.
     pub cycles: u64,
-}
-
-/// Convenience: simulates a purely combinational netlist for one input
-/// vector given as `(port, value)` pairs and returns the signed value of
-/// `out_port`.
-///
-/// # Panics
-///
-/// Panics on unknown ports or on a cyclic design.
-#[must_use]
-pub fn eval_comb_once(nl: &Netlist, inputs: &[(&str, i64)], out_port: &str) -> i64 {
-    let mut sim = Simulator::new(nl).expect("netlist must be acyclic");
-    for &(p, v) in inputs {
-        sim.set_input(p, v);
-    }
-    sim.eval_comb();
-    sim.output_signed(out_port)
-}
-
-/// Identifies nets driven by cells (the ones whose toggles dissipate dynamic
-/// power in the driver cell). Constant and input nets are excluded.
-#[must_use]
-pub fn cell_driven_nets(nl: &Netlist) -> Vec<pe_netlist::NetId> {
-    nl.nets().filter(|(_, n)| matches!(n.driver(), Driver::Cell(_))).map(|(id, _)| id).collect()
-}
-
-/// Returns the driving cell of a net, if any.
-#[must_use]
-pub fn driver_cell(nl: &Netlist, net: pe_netlist::NetId) -> Option<CellId> {
-    match nl.net(net).driver() {
-        Driver::Cell(c) => Some(c),
-        _ => None,
-    }
 }
 
 /// Checks that a netlist contains no sequential cells (useful before
@@ -929,40 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn with_schedule_matches_fresh_construction() {
-        // Ports follow the x{j} batch convention so run_batch can drive them.
-        let mut b = Builder::new("fa");
-        let a = b.input("x0");
-        let x = b.input("x1");
-        let cin = b.input("x2");
-        let s1 = b.xor2(a, x);
-        let sum = b.xor2(s1, cin);
-        b.output("sum", sum);
-        let nl = b.finish();
-        let vectors: Vec<Vec<i64>> =
-            (0..8).map(|v| vec![v & 1, (v >> 1) & 1, (v >> 2) & 1]).collect();
-        let schedule = Schedule::new(&nl).unwrap();
-        let mut fresh = Simulator::new(&nl).unwrap();
-        let mut reused = Simulator::with_schedule(&nl, &schedule);
-        let want = fresh.run_batch(&vectors, 0, "sum");
-        let got = reused.run_batch(&vectors, 0, "sum");
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "different netlist")]
-    fn mismatched_schedule_panics() {
-        let nl = full_adder();
-        let mut b = Builder::new("r");
-        let d = b.input("d");
-        let q = b.dff(d, false);
-        b.output("q", q);
-        let other = b.finish();
-        let schedule = Schedule::new(&other).unwrap();
-        let _ = Simulator::with_schedule(&nl, &schedule);
-    }
-
-    #[test]
     #[should_panic(expected = "no input port")]
     fn unknown_port_panics() {
         let nl = full_adder();
@@ -982,10 +783,10 @@ mod tests {
     fn helpers() {
         let nl = full_adder();
         assert!(is_combinational(&nl));
-        // A set 1-bit port reads as -1 under two's-complement interpretation.
-        assert_eq!(eval_comb_once(&nl, &[("a", 1), ("b", 0), ("cin", 1)], "carry"), -1);
-        let driven = cell_driven_nets(&nl);
-        assert_eq!(driven.len(), 3); // xor, xor, maj
-        assert!(driver_cell(&nl, driven[0]).is_some());
+        let mut b = Builder::new("r");
+        let d = b.input("d");
+        let q = b.dff(d, false);
+        b.output("q", q);
+        assert!(!is_combinational(&b.finish()));
     }
 }

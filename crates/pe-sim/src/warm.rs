@@ -6,13 +6,17 @@
 //! back out when the batch ends. A serving worker that answers batch after
 //! batch of the same model pays that setup every time.
 //!
-//! [`WarmSimulator`] keeps the slab engine instead: it owns the engine's
-//! detached state (the crate-private `DetachedSlab`) across batches and reattaches it to the
-//! netlist only for the duration of each [`WarmSimulator::run_batch`] call.
-//! Because the struct holds **no netlist borrow**, a worker thread can keep
-//! one per model right next to the `Arc` that owns the netlist — the
-//! self-referential layout a borrowing `Simulator<'nl>` cannot express
-//! without `unsafe` (which the workspace forbids).
+//! [`WarmSimulator`] keeps the slab engine instead. [`WarmSimulator::new`]
+//! builds it straight from the netlist — registers at their init values,
+//! the core settled with every input at 0, the same power-on as
+//! [`Simulator::new`](crate::Simulator::new) — and detaches it at once. It
+//! owns the engine's detached state (the crate-private `DetachedSlab`)
+//! across batches and reattaches it to the netlist only for the duration of
+//! each [`WarmSimulator::run_batch`] call. Because the struct holds **no
+//! netlist borrow**, a worker thread can keep one per model right next to
+//! the `Arc` that owns the netlist — the self-referential layout a
+//! borrowing `Simulator<'nl>` cannot express without `unsafe` (which the
+//! workspace forbids).
 //!
 //! What carries across batches:
 //!
@@ -20,16 +24,15 @@
 //! * the compiled sweep program and net → op map,
 //! * toggle counters and cycle/eval accounting (so activity reports span
 //!   the worker's whole serving history, like a long-lived dense
-//!   [`Simulator`](crate::Simulator)),
-//! * forced lanes, if any.
+//!   [`Simulator`](crate::Simulator)).
 //!
 //! # Slab width per batch
 //!
-//! The seeding simulator's [`LaneWidth`] is the chunk size (the cap). Each
-//! batch sweeps at [`LaneWidth::for_batch`] — the narrowest slab that holds
-//! one chunk — so a 64-request batch under a W8 cap evaluates 64 lanes, not
-//! 512. When that width differs from the previous batch's, the detached
-//! state is re-packed at the new width: exact, because between
+//! The [`LaneWidth`] given to [`WarmSimulator::new`] is the chunk size (the
+//! cap). Each batch sweeps at [`LaneWidth::for_batch`] — the narrowest slab
+//! that holds one chunk — so a 64-request batch under a W8 cap evaluates 64
+//! lanes, not 512. When that width differs from the previous batch's, the
+//! detached state is re-packed at the new width: exact, because between
 //! batches every slab is a broadcast of the carried serial value. Chunk
 //! boundaries never move (a batch that fits one cap chunk is one chunk at
 //! either width), so nothing below depends on the swept width.
@@ -39,33 +42,26 @@
 //! A warm simulator fed a stream of batches is bit-identical — outputs,
 //! carried state, *and* toggle counters — to one long-lived dense
 //! [`Simulator`](crate::Simulator) fed the same batches at the same
-//! configured [`LaneWidth`]: the slabs
-//! between batches are broadcasts of the carried serial state either way,
-//! and both sweep every cell densely. Against *fresh-per-batch* simulation the predictions still match for the
-//! paper's classifier datapaths (control returns to idle after every
-//! inference), but per-batch toggle deltas differ on the entry settle —
-//! the warm engine starts each batch from carried state, a fresh engine
-//! from power-on reset. `pe-serve`'s warm-state equivalence suite pins both
+//! configured [`LaneWidth`]: both start from the same power-on state, the
+//! slabs between batches are broadcasts of the carried serial state either
+//! way, and both sweep every cell densely. Against *fresh-per-batch*
+//! simulation the predictions still match for the paper's classifier
+//! datapaths (control returns to idle after every inference), but
+//! per-batch toggle deltas differ on the entry settle — the warm engine
+//! starts each batch from carried state, a fresh engine from power-on
+//! reset. `pe-serve`'s warm-state equivalence suite pins both
 //! halves of this contract at every width.
 
 use crate::activity::ActivityReport;
 use crate::bitslice::{BitSlicedSimulator, DetachedSlab, LaneWidth};
 use crate::sim::BatchResult;
-use pe_netlist::{CellId, Netlist};
+use pe_netlist::{Netlist, NetlistError};
 use pe_obs::SimProfile;
 use std::sync::Arc;
 
-/// The scalar seed a [`WarmSimulator`] attaches from on its first batch:
-/// the owning [`Simulator`](crate::Simulator)'s schedule and settled state,
-/// captured by [`Simulator::warm`](crate::Simulator::warm).
-#[derive(Debug)]
-struct Seed {
-    order: Vec<CellId>,
-    regs: Vec<CellId>,
-    values: Vec<bool>,
-    state: Vec<bool>,
-    frozen: Vec<bool>,
-}
+/// Why the slab can be missing: only a batch that panicked mid-sweep
+/// leaves it taken.
+const TAKEN: &str = "a previous batch panicked mid-sweep";
 
 /// The width-monomorphized detached engine, at the width of the most
 /// recent batch ([`LaneWidth::for_batch`] under the configured cap).
@@ -96,6 +92,15 @@ impl WarmSlab {
         }
     }
 
+    fn enable_activity(&mut self) {
+        match self {
+            WarmSlab::W1(s) => s.enable_activity(),
+            WarmSlab::W2(s) => s.enable_activity(),
+            WarmSlab::W4(s) => s.enable_activity(),
+            WarmSlab::W8(s) => s.enable_activity(),
+        }
+    }
+
     fn activity(&self) -> ActivityReport {
         match self {
             WarmSlab::W1(s) => s.activity(),
@@ -117,54 +122,52 @@ impl WarmSlab {
 
 /// A bit-sliced batch engine that stays **warm** across
 /// [`run_batch`](WarmSimulator::run_batch) calls and holds no netlist
-/// borrow. Built by [`Simulator::warm`](crate::Simulator::warm); see the
-/// [module docs](self) for what carries over and the equivalence contract.
+/// borrow. Built by [`WarmSimulator::new`]; see the [module docs](self) for
+/// what carries over and the equivalence contract.
 #[derive(Debug)]
 pub struct WarmSimulator {
-    /// Consumed by the first attach; `None` once `slab` exists.
-    seed: Option<Seed>,
-    /// The detached engine between batches; `None` before the first batch.
+    /// The detached engine, at the width of the most recent batch. Taken
+    /// only while a batch runs.
     slab: Option<WarmSlab>,
     lane_width: LaneWidth,
-    track_activity: bool,
     profile: Option<Arc<dyn SimProfile>>,
     batches: u64,
 }
 
 impl WarmSimulator {
-    /// Captures the seeding simulator's schedule, settled state and
-    /// configuration (called by [`Simulator::warm`](crate::Simulator::warm)).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_scalar_parts(
-        order: Vec<CellId>,
-        regs: Vec<CellId>,
-        values: Vec<bool>,
-        state: Vec<bool>,
-        frozen: Vec<bool>,
-        lane_width: LaneWidth,
-        track_activity: bool,
-        profile: Option<Arc<dyn SimProfile>>,
-    ) -> Self {
-        WarmSimulator {
-            seed: Some(Seed { order, regs, values, state, frozen }),
-            slab: None,
-            lane_width,
-            track_activity,
-            profile,
-            batches: 0,
-        }
+    /// Builds the engine over `nl` at power-on, exactly like
+    /// [`Simulator::new`](crate::Simulator::new): registers at their init
+    /// values and the combinational core settled with every input at 0.
+    /// `lane_width` is the configured width (the chunk size and the widest
+    /// slab a batch sweeps at). Activity tracking starts off
+    /// ([`WarmSimulator::enable_activity`]), and no profile hook is
+    /// installed ([`WarmSimulator::set_profile`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the design's
+    /// combinational core is cyclic.
+    pub fn new(nl: &Netlist, lane_width: LaneWidth) -> Result<Self, NetlistError> {
+        let slab = BitSlicedSimulator::<1>::new(nl)?.detach();
+        Ok(WarmSimulator { slab: Some(WarmSlab::W1(slab)), lane_width, profile: None, batches: 0 })
+    }
+
+    /// Enables per-net toggle counting and clears the cycle count, like
+    /// [`Simulator::enable_activity`](crate::Simulator::enable_activity).
+    pub fn enable_activity(&mut self) {
+        self.slab_mut().enable_activity();
     }
 
     /// Runs one batch with the same contract as
     /// [`Simulator::run_batch`](crate::Simulator::run_batch), carrying the
-    /// engine's full state from the previous call. `nl` must be the netlist the seeding simulator
-    /// was built over — the caller keeps it alive next to this struct,
-    /// typically inside the same `Arc`ed model entry.
+    /// engine's full state from the previous call. `nl` must be the netlist
+    /// this engine was built over — the caller keeps it alive next to this
+    /// struct, typically inside the same `Arc`ed model entry.
     ///
     /// # Panics
     ///
-    /// Panics if `nl` has a different shape than the seeding netlist, or on
-    /// unknown ports / out-of-range values like
+    /// Panics if `nl` has a different shape than the netlist this engine was
+    /// built over, or on unknown ports / out-of-range values like
     /// [`Simulator::run_batch`](crate::Simulator::run_batch).
     pub fn run_batch(
         &mut self,
@@ -176,21 +179,9 @@ impl WarmSimulator {
         self.batches += 1;
         macro_rules! run {
             ($W:literal, $variant:ident) => {{
-                let mut sim: BitSlicedSimulator<'_, $W> = match self.slab.take() {
-                    Some(WarmSlab::$variant(slab)) => BitSlicedSimulator::reattach(nl, slab),
-                    Some(other) => BitSlicedSimulator::reattach(nl, other.rewidth()),
-                    None => {
-                        let seed = self.seed.take().expect("no slab means the seed is intact");
-                        BitSlicedSimulator::<'_, $W>::from_parts(
-                            nl,
-                            seed.order,
-                            seed.regs,
-                            &seed.values,
-                            &seed.state,
-                            &seed.frozen,
-                            self.track_activity,
-                        )
-                    }
+                let mut sim: BitSlicedSimulator<'_, $W> = match self.slab.take().expect(TAKEN) {
+                    WarmSlab::$variant(slab) => BitSlicedSimulator::reattach(nl, slab),
+                    other => BitSlicedSimulator::reattach(nl, other.rewidth()),
                 };
                 let result = sim.run_batch_profiled(
                     vectors,
@@ -233,14 +224,15 @@ impl WarmSimulator {
     /// Clock cycles accounted across every batch so far.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.slab.as_ref().map_or(0, WarmSlab::cycles)
+        self.slab().cycles()
     }
 
-    /// Combinational cell evaluations across every batch so far
-    /// (`scheduled_cells` per settle pass).
+    /// Combinational cell evaluations since construction (`scheduled_cells`
+    /// per settle pass), the power-on settle included — like
+    /// [`BitSlicedSimulator::cell_evals`].
     #[must_use]
     pub fn cell_evals(&self) -> u64 {
-        self.slab.as_ref().map_or(0, WarmSlab::cell_evals)
+        self.slab().cell_evals()
     }
 
     /// Snapshot of the switching activity accumulated across every batch
@@ -249,31 +241,27 @@ impl WarmSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the seeding simulator did not have activity tracking
-    /// enabled.
+    /// Panics if activity tracking was never enabled.
     #[must_use]
     pub fn activity(&self) -> ActivityReport {
-        assert!(
-            self.track_activity,
-            "activity tracking not enabled; seed from a simulator with enable_activity()"
-        );
-        match &self.slab {
-            Some(slab) => slab.activity(),
-            // No batch yet: zero toggles over zero cycles, at the seeding
-            // netlist's net count.
-            None => ActivityReport::new(
-                vec![0; self.seed.as_ref().expect("seed intact before first batch").values.len()],
-                0,
-            ),
-        }
+        self.slab().activity()
+    }
+
+    fn slab(&self) -> &WarmSlab {
+        self.slab.as_ref().expect(TAKEN)
+    }
+
+    fn slab_mut(&mut self) -> &mut WarmSlab {
+        self.slab.as_mut().expect(TAKEN)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::WarmSimulator;
     use crate::sim::Simulator;
     use crate::LaneWidth;
-    use pe_netlist::{Builder, Netlist};
+    use pe_netlist::{Builder, Netlist, NetlistError};
 
     /// A small sequential design (`q' = x0 XOR x1` through a register) —
     /// the same shape the engine differential tests use.
@@ -315,10 +303,8 @@ mod tests {
             let mut dense = Simulator::new(&nl).unwrap();
             dense.set_lane_width(width);
             dense.enable_activity();
-            let mut seed = Simulator::new(&nl).unwrap();
-            seed.set_lane_width(width);
-            seed.enable_activity();
-            let mut warm = seed.warm();
+            let mut warm = WarmSimulator::new(&nl, width).unwrap();
+            warm.enable_activity();
             assert_eq!(warm.lane_width(), width);
             for (i, batch) in low_activity_batches().iter().enumerate() {
                 let want = dense.run_batch(batch, 2, "q");
@@ -334,20 +320,35 @@ mod tests {
     #[test]
     fn activity_is_empty_before_the_first_batch() {
         let nl = toggle_reg();
-        let mut seed = Simulator::new(&nl).unwrap();
-        seed.enable_activity();
-        let warm = seed.warm();
+        let mut warm = WarmSimulator::new(&nl, LaneWidth::W1).unwrap();
+        warm.enable_activity();
         assert_eq!(warm.activity().total_toggles(), 0);
+        assert_eq!(warm.activity().num_nets(), nl.num_nets());
         assert_eq!(warm.cycles(), 0);
-        assert_eq!(warm.cell_evals(), 0);
+        assert_eq!(warm.cell_evals(), 1, "the power-on settle of the one XOR");
         assert_eq!(warm.batches(), 0);
+    }
+
+    #[test]
+    fn a_cyclic_netlist_is_refused() {
+        use pe_netlist::testing::RawNetlistBuilder;
+        use pe_netlist::{CellKind, Driver};
+        let mut rb = RawNetlistBuilder::new("cyclic");
+        let x = rb.input("x0");
+        let n1 = rb.net(Driver::Input);
+        let n2 = rb.net(Driver::Input);
+        rb.cell(CellKind::And2, &[x, n2], n1);
+        rb.cell(CellKind::Or2, &[n1, x], n2);
+        rb.output("o0", &[n2]);
+        let err = WarmSimulator::new(&rb.finish(), LaneWidth::W1).unwrap_err();
+        assert!(matches!(err, NetlistError::CombinationalCycle(_)), "{err}");
     }
 
     #[test]
     #[should_panic(expected = "does not fit netlist")]
     fn reattaching_a_different_netlist_panics() {
         let nl = toggle_reg();
-        let mut warm = Simulator::new(&nl).unwrap().warm();
+        let mut warm = WarmSimulator::new(&nl, LaneWidth::W1).unwrap();
         let _ = warm.run_batch(&nl, &[vec![1, 0]], 1, "q");
         let mut b = Builder::new("other");
         let a = b.input("x0");

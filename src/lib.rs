@@ -80,5 +80,5 @@ pub mod prelude {
     pub use pe_ml::{QuantizedMlp, QuantizedSvm};
     pub use pe_netlist::{Builder, Netlist, Word};
     pub use pe_serve::{ModelKey, ModelRegistry, ServeMode, Service, ServiceConfig};
-    pub use pe_sim::{Schedule, Simulator};
+    pub use pe_sim::Simulator;
 }
