@@ -28,8 +28,9 @@
 //! and cross-checks **toggle/activity counters** (not just
 //! classifications) between the scalar and bit-sliced engines on the same
 //! workload batch. Every campaign additionally reports its
-//! cone-scheduling stats: chunks evaluated through their fanout cone vs
-//! full-sweep fallbacks, and the cell evaluations saved vs cone-off.
+//! cone-scheduling stats — chunks evaluated through their fanout cone, and
+//! the cell evaluations saved vs cone-off — and asserts that the
+//! [`ConeMode::Auto`] run swept no chunk in full.
 //!
 //! `--collapse` additionally runs the statically collapsed campaign
 //! (`pe_sim::collapse`): equivalence classes and unobservable cones are
@@ -187,7 +188,7 @@ fn cone_run(
 /// The `--compare` gate for the observability layer: the [`SimProfile`]
 /// recorder fed chunk-by-chunk during the campaign must reconcile exactly
 /// with the campaign's exit-summary [`ConeStats`] — same chunk counts, same
-/// cone/fallback split, same total cell evaluations (golden run included).
+/// cone/full-sweep split, same total cell evaluations (golden run included).
 fn assert_profile_reconciles(label: &str, prof: &ProfileSnapshot, stats: &ConeStats, sites: usize) {
     assert_eq!(prof.chunks, stats.chunks as u64, "{label}: recorder chunk count");
     assert_eq!(prof.cone_chunks, stats.cone_chunks as u64, "{label}: recorder cone chunks");
@@ -297,14 +298,15 @@ fn campaign(
     let (auto_report, auto_stats, auto_prof) =
         cone_run(&nl, &sites, &workload, flavor, eff_width, ConeMode::Auto);
     assert_eq!(auto_report, report, "cone-scheduled report must match the sharded campaign");
+    assert_eq!(auto_stats.fallback_chunks, 0, "ConeMode::Auto swept a chunk in full");
     let (never_report, never_stats, never_prof) =
         cone_run(&nl, &sites, &workload, flavor, eff_width, ConeMode::Never);
     assert_eq!(never_report, report, "cone-off report must match the sharded campaign");
     let avoided =
         100.0 * (1.0 - auto_stats.cell_evals as f64 / never_stats.cell_evals.max(1) as f64);
     println!(
-        "cone scheduling  : {}/{} chunks through fanout cones ({} full-sweep fallback)",
-        auto_stats.cone_chunks, auto_stats.chunks, auto_stats.fallback_chunks
+        "cone scheduling  : {}/{} chunks through fanout cones",
+        auto_stats.cone_chunks, auto_stats.chunks
     );
     println!(
         "cell evaluations : {} cone-scheduled vs {} full-sweep ({:.1} % avoided)",

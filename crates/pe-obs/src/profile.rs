@@ -10,7 +10,7 @@
 //!   the phase decomposition (drive/eval/readout nanoseconds), sweep count,
 //!   cycles, and combinational cell evaluations.
 //! * [`SimProfile::on_chunk`] / [`SimProfile::on_campaign_golden`] — once
-//!   per PPSFP fault-campaign chunk (cone-scheduled or full-sweep fallback,
+//!   per PPSFP fault-campaign chunk (cone-scheduled or swept in full,
 //!   with the cone/core cell counts) and once for the campaign's golden
 //!   run, so a recorder's totals reconcile exactly with the campaign's
 //!   exit-summary `ConeStats`.
@@ -46,12 +46,12 @@ pub struct SimBatch {
 pub struct SimChunk {
     /// Fault sites pinned in this chunk.
     pub sites: usize,
-    /// Whether the chunk was evaluated through its fanout cone (false = the
-    /// full-sweep fallback).
+    /// Whether the chunk was evaluated through its fanout cone (false = a
+    /// full sweep).
     pub cone_scheduled: bool,
     /// Combinational cells in the chunk's union cone.
     pub cone_cells: usize,
-    /// Combinational cells in the whole scheduled core (the fallback cost).
+    /// Combinational cells in the whole scheduled core (a full sweep's cost).
     pub core_cells: usize,
     /// Cell evaluations this chunk actually spent.
     pub cell_evals: u64,
@@ -184,7 +184,7 @@ pub struct ProfileSnapshot {
     pub chunks: u64,
     /// Chunks evaluated through their fanout cone.
     pub cone_chunks: u64,
-    /// Chunks that fell back to full sweeps.
+    /// Chunks swept in full instead of through their fanout cone.
     pub fallback_chunks: u64,
     /// Campaign cell evaluations (chunks + golden run).
     pub campaign_cell_evals: u64,

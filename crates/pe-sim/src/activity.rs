@@ -137,16 +137,6 @@ impl ActivityReport {
         self.toggles.iter().sum()
     }
 
-    /// Mean activity factor across all nets.
-    #[must_use]
-    pub fn mean_factor(&self) -> f64 {
-        if self.cycles == 0 || self.toggles.is_empty() {
-            0.0
-        } else {
-            self.total_toggles() as f64 / (self.cycles as f64 * self.toggles.len() as f64)
-        }
-    }
-
     /// Number of nets covered by the report.
     #[must_use]
     pub fn num_nets(&self) -> usize {
@@ -164,7 +154,6 @@ mod tests {
         assert!((r.factor(NetIdHelper::id(0)) - 1.0).abs() < 1e-12);
         assert!((r.factor(NetIdHelper::id(2)) - 0.5).abs() < 1e-12);
         assert_eq!(r.total_toggles(), 15);
-        assert!((r.mean_factor() - 0.5).abs() < 1e-12);
         assert_eq!(r.num_nets(), 3);
         assert_eq!(r.cycles(), 10);
     }
@@ -173,7 +162,6 @@ mod tests {
     fn zero_cycles_yield_zero_factors() {
         let r = ActivityReport::new(vec![3], 0);
         assert_eq!(r.factor(NetIdHelper::id(0)), 0.0);
-        assert_eq!(r.mean_factor(), 0.0);
     }
 
     #[test]
@@ -227,7 +215,6 @@ mod tests {
     fn uniform_report() {
         let r = ActivityReport::uniform(4, 100, 0.25);
         assert_eq!(r.toggles(NetIdHelper::id(3)), 25);
-        assert!((r.mean_factor() - 0.25).abs() < 1e-12);
     }
 
     /// NetId's constructor is crate-private to pe-netlist; build ids through

@@ -28,7 +28,7 @@
 //! simulates vector `64*i + l` of the current chunk. A batch of `N` vectors
 //! is processed as `ceil(N / (64*W))` chunks; the final chunk may be
 //! *ragged* (fewer than `64*W` active lanes) and is handled with a **lane
-//! mask** — a slab with one bit set per active lane ([`lane_mask_wide`]).
+//! mask** — a slab with one bit set per active lane.
 //! Values in masked-off lanes are garbage and are never allowed to escape:
 //! activity accounting ANDs every XOR-difference with the mask before
 //! popcounting, outputs are extracted per active lane only, and the
@@ -85,7 +85,6 @@
 use crate::activity::{ActivityReport, ToggleCounters};
 use crate::faults::GoldenTrajectory;
 use crate::sim::BatchResult;
-use pe_netlist::graph::FanoutCones;
 use pe_netlist::{CellId, CellKind, Netlist, NetlistError, PortDir};
 use pe_obs::{SimBatch, SimProfile};
 use std::collections::HashMap;
@@ -195,7 +194,7 @@ impl std::fmt::Display for LaneWidth {
 /// chunk of up to `64 * W` lanes.
 #[inline]
 #[must_use]
-pub fn lane_mask_wide<const W: usize>(active: usize) -> [u64; W] {
+pub(crate) fn lane_mask_wide<const W: usize>(active: usize) -> [u64; W] {
     debug_assert!((1..=LANES * W).contains(&active));
     core::array::from_fn(|i| {
         let lo = i * LANES;
@@ -212,7 +211,7 @@ pub fn lane_mask_wide<const W: usize>(active: usize) -> [u64; W] {
 /// Number of set lanes in a slab mask.
 #[inline]
 #[must_use]
-pub fn popcount_wide<const W: usize>(mask: &[u64; W]) -> u64 {
+pub(crate) fn popcount_wide<const W: usize>(mask: &[u64; W]) -> u64 {
     let mut n = 0u64;
     for &w in mask {
         n += u64::from(w.count_ones());
@@ -462,13 +461,34 @@ enum Tally {
     Serial,
 }
 
+/// Net → reader-op table over a simulator's compiled program, in CSR
+/// layout: the program positions of the ops reading net `n` are
+/// `targets[offsets[n]..offsets[n + 1]]`, ascending, each op listed once
+/// per net even when the net feeds several of its pins. Built once per
+/// campaign by [`BitSlicedSimulator::reader_table`]; the cone search of
+/// [`BitSlicedSimulator::cone_schedule`] walks it instead of the netlist.
+#[derive(Debug)]
+pub(crate) struct ReaderTable {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl ReaderTable {
+    /// Program positions of the ops reading net index `net`.
+    fn readers(&self, net: usize) -> &[u32] {
+        &self.targets[self.offsets[net] as usize..self.offsets[net + 1] as usize]
+    }
+}
+
 /// The per-chunk cone schedule of a cone-scheduled PPSFP sweep: the
 /// sub-program of ops downstream of the chunk's pinned fault sites, plus the
 /// *frontier* — the nets feeding that sub-program from outside it, whose
 /// fault-free values are loaded from a precomputed golden trajectory instead
-/// of being recomputed. Built by [`BitSlicedSimulator::cone_schedule`],
-/// consumed by [`BitSlicedSimulator::lanes_diverging_cone`].
-#[derive(Debug)]
+/// of being recomputed. Rebuilt in place for every chunk by
+/// [`BitSlicedSimulator::cone_schedule`] (its buffers and marks are reused,
+/// so a build allocates nothing in steady state), consumed by
+/// [`BitSlicedSimulator::lanes_diverging_cone`].
+#[derive(Debug, Default)]
 pub(crate) struct ConeSchedule {
     /// The cone's combinational ops, copied from the program in topological
     /// order with their pinned bits fixed at compile time (forcing is
@@ -482,16 +502,29 @@ pub(crate) struct ConeSchedule {
     /// broadcast from the golden trajectory (pinned lanes keep their forced
     /// values).
     frontier: Vec<(u32, bool)>,
-    /// Net-indexed: true iff the net's slab is meaningful after a cone pass
-    /// (cone-driven or frontier-loaded). Output bits outside this set are
-    /// provably fault-free and are skipped by the divergence diff.
-    valid_net: Vec<bool>,
+    /// Net-indexed stamps: `valid[n] == epoch` iff the net's slab is
+    /// meaningful after a cone pass of the current build (cone-driven or
+    /// frontier-loaded). Output bits outside this set are provably
+    /// fault-free and are skipped by the divergence diff.
+    valid: Vec<u32>,
+    /// Stamp of the current build; bumping it clears `valid` in O(1).
+    epoch: u32,
+    /// Cone search scratch: one bit per program position, all clear
+    /// between builds.
+    in_cone: Vec<u64>,
+    /// Cone search scratch: nets whose readers are still to be visited.
+    stack: Vec<u32>,
 }
 
 impl ConeSchedule {
     /// Number of combinational cells a cone pass evaluates.
     pub(crate) fn comb_cells(&self) -> usize {
         self.comb.len()
+    }
+
+    /// Whether net index `n` holds a meaningful slab after a cone pass.
+    fn valid_net(&self, n: usize) -> bool {
+        self.valid[n] == self.epoch
     }
 }
 
@@ -640,7 +673,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// # Panics
     ///
     /// Panics if `lane >= 64 * W`.
-    pub fn force_lane(&mut self, net: pe_netlist::NetId, lane: usize, value: bool) {
+    pub(crate) fn force_lane(&mut self, net: pe_netlist::NetId, lane: usize, value: bool) {
         assert!(lane < LANES * W, "lane {lane} out of range for width {W}");
         let mut vals = [0u64; W];
         let mut mask = [0u64; W];
@@ -979,7 +1012,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     ///
     /// Panics if the port does not exist, more than `64 * W` values are
     /// given, or a value does not fit the port width.
-    pub fn set_input_lanes(&mut self, port: &str, values: &[i64]) {
+    pub(crate) fn set_input_lanes(&mut self, port: &str, values: &[i64]) {
         let nets = self
             .input_ports
             .get(port)
@@ -1008,7 +1041,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     ///
     /// Panics if the port does not exist or is wider than 63 bits.
     #[must_use]
-    pub fn output_unsigned_lane(&self, port: &str, lane: usize) -> i64 {
+    pub(crate) fn output_unsigned_lane(&self, port: &str, lane: usize) -> i64 {
         let bits =
             self.output_ports.get(port).unwrap_or_else(|| panic!("no output port named {port:?}"));
         assert!(bits.len() <= 63, "port {port} too wide");
@@ -1109,7 +1142,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// # Panics
     ///
     /// Same contract as [`BitSlicedSimulator::run_batch`].
-    pub fn run_batch_profiled(
+    pub(crate) fn run_batch_profiled(
         &mut self,
         vectors: &[Vec<i64>],
         cycles_per_vector: u64,
@@ -1332,7 +1365,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// Panics on unknown ports, out-of-range values, `golden` shorter than
     /// the workload, or enabled activity tracking (lanes hold different
     /// machines; toggle accounting is undefined).
-    pub fn lanes_diverging_comb(
+    pub(crate) fn lanes_diverging_comb(
         &mut self,
         workload: &[Vec<(String, i64)>],
         out_port: &str,
@@ -1361,7 +1394,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     ///
     /// Panics on unknown ports, out-of-range values, `cycles_per_vector ==
     /// 0`, a short `golden`, or enabled activity tracking.
-    pub fn lanes_diverging_seq_reset(
+    pub(crate) fn lanes_diverging_seq_reset(
         &mut self,
         workload: &[Vec<(String, i64)>],
         cycles_per_vector: u64,
@@ -1436,12 +1469,50 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
 
     // ---- cone-scheduled PPSFP (evaluate only downstream of the sites) ----
 
-    /// Builds the cone schedule of one PPSFP chunk: the cells downstream of
-    /// the chunk's pinned `roots` (per [`FanoutCones::cone`], register
-    /// feedback included), compiled into a sub-program of combinational ops
-    /// and a list of register indices, plus the frontier nets the cone reads
-    /// from the fault-free world. The chunk's sites must already be pinned:
-    /// the copied ops and frontier entries fix their pinned bits here.
+    /// The net → reader-op table of this simulator's compiled program (see
+    /// [`ReaderTable`]), the index [`BitSlicedSimulator::cone_schedule`]
+    /// searches. Built on demand, so only fault campaigns pay for it.
+    pub(crate) fn reader_table(&self) -> ReaderTable {
+        let nets = self.words.len();
+        // Distinct nets an op reads: pins past the arity repeat the first.
+        let distinct = |op: &Op| {
+            let ins = op.ins;
+            (0..3).filter(move |&k| !ins[..k].contains(&ins[k])).map(move |k| ins[k] as usize)
+        };
+        let mut offsets = vec![0u32; nets + 1];
+        for op in &self.prog {
+            for n in distinct(op) {
+                offsets[n + 1] += 1;
+            }
+        }
+        for n in 0..nets {
+            offsets[n + 1] += offsets[n];
+        }
+        let mut next = offsets.clone();
+        let mut targets = vec![0u32; offsets[nets] as usize];
+        for (p, op) in self.prog.iter().enumerate() {
+            for n in distinct(op) {
+                targets[next[n] as usize] = p as u32;
+                next[n] += 1;
+            }
+        }
+        ReaderTable { offsets, targets }
+    }
+
+    /// Builds, into `sched`, the cone schedule of one PPSFP chunk: the ops
+    /// downstream of the chunk's pinned `roots` (register feedback
+    /// included — reaching a register's input puts the register in the
+    /// cone and continues from its output, exactly like
+    /// [`FanoutCones::cone`](pe_netlist::graph::FanoutCones::cone)),
+    /// compiled into a sub-program of combinational ops and a list of
+    /// register indices, plus the frontier nets the cone reads from the
+    /// fault-free world. The chunk's sites must already be pinned: the
+    /// copied ops and frontier entries fix their pinned bits here.
+    ///
+    /// The search walks `readers` and marks ops in a bitset over program
+    /// positions; the set bits, read in ascending order, are the cone in
+    /// program order. Its cost follows the cone, not the netlist: the
+    /// net-indexed marks are epoch-stamped and reused across chunks.
     ///
     /// A net is *cone-driven* when its driver is in the cone; every other
     /// net holds its fault-free value in all lanes throughout the chunk —
@@ -1449,50 +1520,65 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
     /// frontier from a golden trajectory exact. Root nets whose driver is
     /// outside the cone (the common case: the fault's upstream cell) join
     /// the frontier so the pinned lanes merge against golden values, and
-    /// join `valid_net` so sites on dead-end nets wired straight to an
+    /// are valid nets so sites on dead-end nets wired straight to an
     /// output port are still observed by the divergence diff.
     pub(crate) fn cone_schedule(
         &self,
-        cones: &FanoutCones,
+        readers: &ReaderTable,
         roots: &[pe_netlist::NetId],
-    ) -> ConeSchedule {
-        let in_cone = cones.cone(self.nl, roots);
-        let mut cone_driven = vec![false; self.nl.num_nets()];
-        let mut comb = Vec::new();
-        for (op, &c) in self.prog.iter().zip(&self.order) {
-            if in_cone[c.index()] {
-                comb.push(*op);
-                cone_driven[op.out as usize] = true;
+        sched: &mut ConeSchedule,
+    ) {
+        let ConeSchedule { comb, regs, frontier, valid, epoch, in_cone, stack } = sched;
+        comb.clear();
+        regs.clear();
+        frontier.clear();
+        valid.resize(self.words.len(), 0);
+        in_cone.resize(self.prog.len().div_ceil(64), 0);
+        *epoch = epoch.wrapping_add(1);
+        if *epoch == 0 {
+            valid.fill(0);
+            *epoch = 1;
+        }
+        let epoch = *epoch;
+
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        stack.extend(roots.iter().map(|r| r.index() as u32));
+        while let Some(n) = stack.pop() {
+            for &p in readers.readers(n as usize) {
+                let (wi, bit) = (p as usize / 64, 1u64 << (p % 64));
+                if in_cone[wi] & bit == 0 {
+                    in_cone[wi] |= bit;
+                    (lo, hi) = (lo.min(wi), hi.max(wi));
+                    stack.push(self.prog[p as usize].out);
+                }
             }
         }
-        let mut regs = Vec::new();
-        for (i, &r) in self.regs.iter().enumerate() {
-            if in_cone[r.index()] {
-                regs.push(i as u32);
-                cone_driven[self.nl.cell(r).output().index()] = true;
-            }
-        }
-        let mut valid_net = cone_driven.clone();
-        let mut frontier = Vec::new();
-        let mut queued = vec![false; self.nl.num_nets()];
-        let mut add_frontier = |i: usize, frontier: &mut Vec<(u32, bool)>| {
-            if !cone_driven[i] && !queued[i] {
-                queued[i] = true;
-                valid_net[i] = true;
-                frontier.push((i as u32, self.forced_mask[i] != [0; W]));
-            }
-        };
+
         let base = self.order.len();
-        let reg_ops = regs.iter().map(|&i| &self.prog[base + i as usize]);
-        for op in comb.iter().chain(reg_ops) {
-            for &inp in &op.ins {
-                add_frontier(inp as usize, &mut frontier);
+        for wi in lo..=hi {
+            let mut bits = std::mem::take(&mut in_cone[wi]);
+            while bits != 0 {
+                let p = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let op = self.prog[p];
+                valid[op.out as usize] = epoch;
+                if p < base {
+                    comb.push(op);
+                } else {
+                    regs.push((p - base) as u32);
+                }
             }
         }
-        for r in roots {
-            add_frontier(r.index(), &mut frontier);
+
+        let reg_ops = regs.iter().map(|&i| &self.prog[base + i as usize]);
+        let inputs = comb.iter().chain(reg_ops).flat_map(|op| op.ins);
+        for n in inputs.chain(roots.iter().map(|r| r.index() as u32)) {
+            let i = n as usize;
+            if valid[i] != epoch {
+                valid[i] = epoch;
+                frontier.push((n, self.forced_mask[i] != [0; W]));
+            }
         }
-        ConeSchedule { comb, regs, frontier, valid_net }
     }
 
     /// Loads every frontier net from the golden trajectory at settle point
@@ -1568,7 +1654,7 @@ impl<'nl, const W: usize> BitSlicedSimulator<'nl, W> {
         let cone_bits: Vec<(usize, pe_netlist::NetId)> = out_bits
             .iter()
             .enumerate()
-            .filter(|(_, b)| sched.valid_net[b.index()])
+            .filter(|(_, b)| sched.valid_net(b.index()))
             .map(|(j, &b)| (j, b))
             .collect();
         let cycles = traj.cycles_per_entry();
@@ -1955,6 +2041,129 @@ mod tests {
         scalar.tick();
         let want = scalar.run_batch(&vectors, 1, "q");
         assert_eq!(got.outputs, want.outputs);
+    }
+
+    /// The cells of a built cone schedule as a cell-indexed membership
+    /// vector, after checking that its ops and registers are in program
+    /// order.
+    fn schedule_cells(sim: &BitSlicedSimulator<'_>, sched: &ConeSchedule) -> Vec<bool> {
+        let positions: Vec<u32> =
+            sched.comb.iter().map(|op| sim.op_of_net[op.out as usize]).collect();
+        assert!(positions.windows(2).all(|w| w[0] < w[1]), "cone ops out of program order");
+        assert!(sched.regs.windows(2).all(|w| w[0] < w[1]), "cone registers out of order");
+        let mut cells = vec![false; sim.nl.num_cells()];
+        for &p in &positions {
+            cells[sim.order[p as usize].index()] = true;
+        }
+        for &r in &sched.regs {
+            cells[sim.regs[r as usize].index()] = true;
+        }
+        cells
+    }
+
+    /// Builds the reader-table cone of `roots` into the reused `sched` and
+    /// checks it against [`FanoutCones::cone`](pe_netlist::graph::FanoutCones::cone)
+    /// cell for cell, and its frontier and valid nets against their
+    /// definitions over the netlist.
+    fn assert_cone_matches(
+        sim: &BitSlicedSimulator<'_>,
+        readers: &ReaderTable,
+        cones: &pe_netlist::graph::FanoutCones,
+        roots: &[pe_netlist::NetId],
+        sched: &mut ConeSchedule,
+    ) {
+        let nl = sim.nl;
+        sim.cone_schedule(readers, roots, sched);
+        let want = cones.cone(nl, roots);
+        assert_eq!(schedule_cells(sim, sched), want, "{}: cone of {roots:?}", nl.name());
+
+        let driven: Vec<bool> = nl
+            .nets()
+            .map(|(_, net)| matches!(net.driver(), pe_netlist::Driver::Cell(c) if want[c.index()]))
+            .collect();
+        let mut frontier = std::collections::BTreeSet::new();
+        for (id, cell) in nl.cells() {
+            if want[id.index()] {
+                frontier.extend(cell.inputs().iter().map(|n| n.index()).filter(|&n| !driven[n]));
+            }
+        }
+        frontier.extend(roots.iter().map(|r| r.index()).filter(|&n| !driven[n]));
+        let got: Vec<usize> = sched.frontier.iter().map(|&(n, _)| n as usize).collect();
+        assert_eq!(got.len(), frontier.len(), "{}: frontier of {roots:?} repeats a net", nl.name());
+        assert_eq!(got.into_iter().collect::<std::collections::BTreeSet<_>>(), frontier);
+        for n in 0..nl.num_nets() {
+            let valid = driven[n] || frontier.contains(&n);
+            assert_eq!(sched.valid_net(n), valid, "{}: valid net {n} of {roots:?}", nl.name());
+        }
+    }
+
+    /// A design with nets wired to two pins of one cell, inside a register
+    /// feedback loop.
+    fn shared_pin_netlist() -> Netlist {
+        use pe_netlist::testing::RawNetlistBuilder;
+        let mut b = RawNetlistBuilder::new("shared_pins");
+        let a = b.input("x0");
+        let c = b.input("x1");
+        let q = b.net(pe_netlist::Driver::Input);
+        let t = b.net(pe_netlist::Driver::Input);
+        b.cell(CellKind::And2, &[a, q], t);
+        let m = b.net(pe_netlist::Driver::Input);
+        b.cell(CellKind::Maj3, &[t, t, c], m);
+        let x = b.net(pe_netlist::Driver::Input);
+        b.cell(CellKind::Xor2, &[m, m], x);
+        let y = b.net(pe_netlist::Driver::Input);
+        b.cell(CellKind::Mux2, &[a, m, m], y);
+        b.cell(CellKind::Dff, &[y], q);
+        b.output("o0", &[x]);
+        b.output("o1", &[q]);
+        let nl = b.finish();
+        nl.validate().unwrap();
+        nl
+    }
+
+    #[test]
+    fn reader_table_cones_match_fanout_cones() {
+        use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
+        let mut designs = vec![shared_pin_netlist()];
+        for seed in 0..6 {
+            let spec = RandomNetlistSpec {
+                inputs: 5,
+                gates: 80,
+                registers: (seed % 3) as usize * 3,
+                outputs: 3,
+                input_prefix: "x",
+            };
+            designs.push(random_netlist(&spec, 0xC0DE + seed));
+        }
+        for nl in &designs {
+            let sim = BitSlicedSimulator::<'_, 1>::new(nl).unwrap();
+            let readers = sim.reader_table();
+            let cones = pe_netlist::graph::FanoutCones::new(nl);
+            // One schedule reused for every build, as a campaign reuses it.
+            let mut sched = ConeSchedule::default();
+            let nets: Vec<pe_netlist::NetId> = nl.nets().map(|(id, _)| id).collect();
+            for &n in &nets {
+                assert_cone_matches(&sim, &readers, &cones, &[n], &mut sched);
+                assert_cone_matches(&sim, &readers, &cones, &[n, n], &mut sched);
+            }
+            for (i, &n) in nets.iter().enumerate() {
+                // A root inside another root's cone, in both orders, and a
+                // duplicate among several roots.
+                let cone = cones.cone(nl, &[n]);
+                let inner: Vec<pe_netlist::NetId> =
+                    nl.cells().filter(|(c, _)| cone[c.index()]).map(|(_, c)| c.output()).collect();
+                if let Some(&d) = inner.get(i % inner.len().max(1)) {
+                    assert_cone_matches(&sim, &readers, &cones, &[n, d], &mut sched);
+                    assert_cone_matches(&sim, &readers, &cones, &[d, n], &mut sched);
+                }
+                let other = nets[(i * 7 + 3) % nets.len()];
+                assert_cone_matches(&sim, &readers, &cones, &[n, other, n], &mut sched);
+            }
+            // The stamp wrapping around must not revive a stale mark.
+            sched.epoch = u32::MAX;
+            assert_cone_matches(&sim, &readers, &cones, &nets[nets.len() / 2..], &mut sched);
+            assert_cone_matches(&sim, &readers, &cones, &[], &mut sched);
+        }
     }
 
     #[test]

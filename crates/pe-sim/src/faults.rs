@@ -11,7 +11,7 @@
 //! Campaigns reuse **one** scheduled [`BitSlicedSimulator`] for every fault
 //! site and run **PPSFP-style** (parallel-pattern single-fault propagation,
 //! flipped): each bit-sliced lane carries a *different* fault site, pinned
-//! per lane via [`BitSlicedSimulator::force_lane`], and every workload
+//! per lane via [`BitSlicedSimulator::force_lanes`], and every workload
 //! pattern is driven broadcast across the lanes — up to `64 * W` faulty
 //! machines (one slab word holds 64 lanes; the [`LaneWidth`] slab carries
 //! 64–512) evaluating (or, under the per-classification reset protocol,
@@ -43,8 +43,7 @@
 //! suites check every PPSFP campaign against, site by site: a freshly
 //! scheduled scalar simulator per site, one pattern at a time.
 
-use crate::bitslice::{lane_mask_wide, BitSlicedSimulator, LaneWidth, LANES};
-use pe_netlist::graph::FanoutCones;
+use crate::bitslice::{lane_mask_wide, BitSlicedSimulator, ConeSchedule, LaneWidth, LANES};
 use pe_netlist::{Driver, NetId, Netlist, NetlistError};
 use pe_obs::{SimChunk, SimProfile};
 
@@ -111,12 +110,10 @@ impl FaultReport {
 /// purely about work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConeMode {
-    /// Cone-schedule a chunk unless its union cone covers more than 3/4 of
-    /// the combinational core, where a full sweep's better locality wins.
+    /// Cone-schedule every chunk, however dense its union cone: a cone pass
+    /// never evaluates more cells than a full sweep.
     #[default]
     Auto,
-    /// Cone-schedule every chunk, however dense (benchmark / test knob).
-    Always,
     /// Full sweeps only — the pre-cone campaign behavior (the reference the
     /// differential suites compare against).
     Never,
@@ -132,8 +129,8 @@ pub struct ConeStats {
     pub chunks: usize,
     /// Chunks evaluated through their fanout cone.
     pub cone_chunks: usize,
-    /// Chunks that fell back to full sweeps (density threshold exceeded, or
-    /// [`ConeMode::Never`]).
+    /// Chunks swept in full ([`ConeMode::Never`]; zero under
+    /// [`ConeMode::Auto`]).
     pub fallback_chunks: usize,
     /// Combinational cell evaluations over the whole campaign, golden run
     /// included (see [`BitSlicedSimulator::cell_evals`]).
@@ -280,10 +277,12 @@ fn force_site_lanes<const W: usize>(
 
 /// The width-monomorphized PPSFP campaign frame shared by every campaign:
 /// pin `64 * W` sites per sweep, drive the workload broadcast, accumulate
-/// divergence, release. Under [`ConeMode::Auto`] / [`ConeMode::Always`]
-/// each chunk is evaluated through its fanout cone (frontier loaded from the
-/// [`GoldenTrajectory`] the golden run recorded) whenever the cone is sparse
-/// enough to pay; every chunk's verdicts are bit-identical either way.
+/// divergence, release. Under [`ConeMode::Auto`] every chunk is evaluated
+/// through its fanout cone (frontier loaded from the [`GoldenTrajectory`]
+/// the golden run recorded), found by a search over a reader table of the
+/// simulator's compiled program that is built once, right after the golden
+/// run; under [`ConeMode::Never`] every chunk is swept in full. Every
+/// chunk's verdicts are bit-identical either way.
 ///
 /// `verdicts[i]` is true iff pinning `faults[i]` diverged the observed port
 /// on some workload entry. The aggregate campaigns fold this into a
@@ -299,40 +298,31 @@ fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
     profile: Option<&dyn SimProfile>,
 ) -> Result<(Vec<bool>, ConeStats), NetlistError> {
     let mut sim = BitSlicedSimulator::<'_, W>::new(nl)?;
-    let cone = mode != ConeMode::Never && !faults.is_empty();
+    let cone = mode == ConeMode::Auto && !faults.is_empty();
     let (golden, traj) = sim.run_golden(workload, cycles, out_port, cone);
     if let Some(p) = profile {
         // Fed first so a recorder's campaign totals reconcile exactly with
         // the exit-summary `ConeStats::cell_evals` (golden + chunk deltas).
         p.on_campaign_golden(sim.cell_evals());
     }
-    let prep = traj.map(|t| (FanoutCones::new(nl), t));
+    let prep = traj.map(|t| (sim.reader_table(), t));
+    let mut sched = ConeSchedule::default();
     let mut stats = ConeStats::default();
     let mut verdicts = Vec::with_capacity(faults.len());
     for chunk in faults.chunks(LANES * W) {
         stats.chunks += 1;
         let evals_before = sim.cell_evals();
         let watch = force_site_lanes(&mut sim, chunk);
-        let mut cone_diverged = None;
-        let mut cone_cells = 0usize;
-        if let Some((cones, traj)) = &prep {
-            let mut roots: Vec<NetId> = chunk.iter().map(|f| f.net).collect();
-            roots.dedup();
-            let sched = sim.cone_schedule(cones, &roots);
-            cone_cells = sched.comb_cells();
-            // Density threshold: past ~3/4 of the core a cone pass does
-            // nearly a full sweep's work with worse locality, so Auto falls
-            // back to the plain path.
-            let dense = sched.comb_cells() * 4 > sim.scheduled_cells() * 3;
-            if mode == ConeMode::Always || !dense {
-                cone_diverged =
-                    Some(sim.lanes_diverging_cone(&sched, traj, out_port, &golden, watch));
-            }
-        }
-        let (diverged, cone_scheduled) = match cone_diverged {
-            Some(d) => {
+        let (diverged, cone_cells) = match &prep {
+            Some((readers, traj)) => {
                 stats.cone_chunks += 1;
-                (d, true)
+                let mut roots: Vec<NetId> = chunk.iter().map(|f| f.net).collect();
+                roots.dedup();
+                sim.cone_schedule(readers, &roots, &mut sched);
+                (
+                    sim.lanes_diverging_cone(&sched, traj, out_port, &golden, watch),
+                    sched.comb_cells(),
+                )
             }
             None => {
                 stats.fallback_chunks += 1;
@@ -340,7 +330,7 @@ fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
                     None => sim.lanes_diverging_comb(workload, out_port, &golden, watch),
                     Some(c) => sim.lanes_diverging_seq_reset(workload, c, out_port, &golden, watch),
                 };
-                (d, false)
+                (d, 0)
             }
         };
         for l in 0..chunk.len() {
@@ -352,7 +342,7 @@ fn fault_campaign_ppsfp_verdicts_w<const W: usize>(
         if let Some(p) = profile {
             p.on_chunk(&SimChunk {
                 sites: chunk.len(),
-                cone_scheduled,
+                cone_scheduled: prep.is_some(),
                 cone_cells,
                 core_cells: sim.scheduled_cells(),
                 cell_evals: sim.cell_evals() - evals_before,
@@ -388,7 +378,7 @@ pub(crate) fn ppsfp_verdicts(
 /// PPSFP fault campaign on a **combinational** design at an explicit
 /// [`LaneWidth`] and [`ConeMode`]: fault sites are packed `64 * W` per slab
 /// (site `l` of a chunk pinned in lane `l` via
-/// [`BitSlicedSimulator::force_lane`]), every workload pattern is driven
+/// [`BitSlicedSimulator::force_lanes`]), every workload pattern is driven
 /// broadcast across the lanes, and a per-lane divergence mask against the
 /// fault-free golden response collects the verdicts — with an early exit
 /// once every site in the sweep has diverged. One simulator is scheduled
@@ -402,7 +392,7 @@ pub(crate) fn ppsfp_verdicts(
 ///
 /// An optional [`SimProfile`] hook is fed live during the campaign: once per
 /// `64 * W`-site chunk ([`SimProfile::on_chunk`] — cone-scheduled or
-/// fallback, with the cone/core cell counts and the chunk's
+/// swept in full, with the cone/core cell counts and the chunk's
 /// cell-evaluation cost) and once for the golden run
 /// ([`SimProfile::on_campaign_golden`]). A [`pe_obs::ProfileRecorder`]'s
 /// campaign totals reconcile exactly with the returned [`ConeStats`].
@@ -436,8 +426,7 @@ pub fn fault_campaign_comb_ppsfp_wide_obs(
 /// [`LaneWidth`] and [`ConeMode`], under the per-classification reset
 /// protocol: `64 * W` faulty machines — one fault site per lane — reset,
 /// load the broadcast pattern and tick in lockstep, per workload entry,
-/// against the fault-free golden response
-/// ([`BitSlicedSimulator::lanes_diverging_seq_reset`]). The reset keeps
+/// against the fault-free golden response. The reset keeps
 /// pinned lanes pinned, so the verdicts are bit-identical to the
 /// rebuild-per-site reference ([`oracle::fault_campaign_seq`]), site for
 /// site, at every width and in every mode. See
@@ -837,11 +826,11 @@ mod tests {
     fn profile_recorder_reconciles_with_cone_stats() {
         // The observability contract: a ProfileRecorder fed live through the
         // `_obs` entry points must reproduce the campaign's exit-summary
-        // ConeStats exactly — chunk counts, cone/fallback split, and total
+        // ConeStats exactly — chunk counts, cone/full-sweep split, and total
         // cell evaluations (golden run included).
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
-        for mode in [ConeMode::Auto, ConeMode::Always, ConeMode::Never] {
+        for mode in [ConeMode::Auto, ConeMode::Never] {
             let rec = pe_obs::ProfileRecorder::new();
             let (report, stats) = fault_campaign_comb_ppsfp_wide_obs(
                 &nl,
@@ -955,8 +944,8 @@ mod tests {
 
     #[test]
     fn cone_modes_agree_on_comb_and_seq_campaigns() {
-        // Always / Never / Auto are three routes to the same verdicts; the
-        // stats must also confirm each route actually ran where claimed.
+        // Auto / Never are two routes to the same verdicts; the stats must
+        // also confirm each route actually ran where claimed.
         let nl = adder2();
         let sites = enumerate_fault_sites(&nl);
         let wl = full_workload();
@@ -965,12 +954,10 @@ mod tests {
                 .unwrap()
         };
         let (never, sn) = comb(ConeMode::Never);
-        let (always, sa) = comb(ConeMode::Always);
-        let (auto, _) = comb(ConeMode::Auto);
-        assert_eq!(always, never, "cone-scheduled comb verdicts diverged");
-        assert_eq!(auto, never, "auto comb verdicts diverged");
+        let (auto, sa) = comb(ConeMode::Auto);
+        assert_eq!(auto, never, "cone-scheduled comb verdicts diverged");
         assert_eq!(sn.cone_chunks, 0, "Never must not take the cone path");
-        assert_eq!(sa.fallback_chunks, 0, "Always must never fall back");
+        assert_eq!(sa.fallback_chunks, 0, "Auto must never fall back");
         assert_eq!(sa.cone_chunks, sa.chunks);
 
         let mut b = Builder::new("shift");
@@ -987,9 +974,9 @@ mod tests {
             fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &swl, "q", 3, w1, mode, None).unwrap()
         };
         let (snever, _) = seq(ConeMode::Never);
-        let (salways, st) = seq(ConeMode::Always);
-        assert_eq!(salways, snever, "cone-scheduled seq verdicts diverged");
-        assert_eq!(st.cone_chunks, st.chunks, "Always must run every chunk through cones");
+        let (sauto, st) = seq(ConeMode::Auto);
+        assert_eq!(sauto, snever, "cone-scheduled seq verdicts diverged");
+        assert_eq!(st.cone_chunks, st.chunks, "Auto must run every chunk through cones");
         assert_eq!(
             snever,
             oracle::fault_campaign_seq(&snl, &ssites, &swl, "q", 3).unwrap(),
@@ -1032,16 +1019,71 @@ mod tests {
             fault_campaign_comb_ppsfp_wide_obs(&nl, &tail, &wl, "o", LaneWidth::W1, mode, None)
                 .unwrap()
         };
-        let (always, sa) = tail_campaign(ConeMode::Always);
+        let (auto, sa) = tail_campaign(ConeMode::Auto);
         let (never, sn) = tail_campaign(ConeMode::Never);
-        assert_eq!(always, never);
-        assert_eq!(always.critical, 1, "stuck-at-1 critical, stuck-at-0 masked by z=0");
+        assert_eq!(auto, never);
+        assert_eq!(auto.critical, 1, "stuck-at-1 critical, stuck-at-0 masked by z=0");
         assert!(
             sa.cell_evals * 4 < sn.cell_evals,
             "tail-site cone sweep should be >4x cheaper: {} vs {}",
             sa.cell_evals,
             sn.cell_evals
         );
+    }
+
+    /// A [`SimProfile`] that keeps every chunk it is fed.
+    #[derive(Debug, Default)]
+    struct ChunkLog(std::sync::Mutex<Vec<SimChunk>>);
+
+    impl SimProfile for ChunkLog {
+        fn on_chunk(&self, chunk: &SimChunk) {
+            self.0.lock().expect("no test thread panics holding the log").push(*chunk);
+        }
+    }
+
+    #[test]
+    fn dense_chunks_take_the_cone_path_and_match_the_references() {
+        // One W8 chunk holding every site of a random design: the union
+        // cone covers nearly the whole core, past the 3/4 density where
+        // Auto once fell back to full sweeps. Auto must still cone-schedule
+        // it, with the verdicts of the dense sweep and the rebuild oracle.
+        use pe_netlist::testing::{random_netlist, RandomNetlistSpec};
+        for (seed, registers) in [(21u64, 0usize), (22, 3), (23, 5)] {
+            let spec = RandomNetlistSpec {
+                inputs: 5,
+                gates: 70,
+                registers,
+                outputs: 3,
+                input_prefix: "x",
+            };
+            let nl = random_netlist(&spec, seed);
+            let sites = enumerate_fault_sites(&nl);
+            assert!(sites.len() <= LaneWidth::W8.lanes(), "sites must fit one W8 chunk");
+            let wl = random_workload(5, 12, seed);
+            let log = ChunkLog::default();
+            let run = |mode, profile: Option<&dyn SimProfile>| {
+                let w8 = LaneWidth::W8;
+                if registers == 0 {
+                    fault_campaign_comb_ppsfp_wide_obs(&nl, &sites, &wl, "o0", w8, mode, profile)
+                } else {
+                    fault_campaign_seq_ppsfp_wide_obs(&nl, &sites, &wl, "o0", 2, w8, mode, profile)
+                }
+                .unwrap()
+            };
+            let (auto, stats) = run(ConeMode::Auto, Some(&log));
+            let chunks = log.0.into_inner().expect("no test thread panics holding the log");
+            assert_eq!((stats.chunks, stats.cone_chunks, stats.fallback_chunks), (1, 1, 0));
+            let c = chunks[0];
+            assert!(c.cone_scheduled);
+            assert!(c.cone_cells * 4 > c.core_cells * 3, "seed {seed}: chunk not dense: {c:?}");
+            assert_eq!(auto, run(ConeMode::Never, None).0, "seed {seed}: Auto vs Never");
+            let oracle = if registers == 0 {
+                oracle::fault_campaign_comb(&nl, &sites, &wl, "o0")
+            } else {
+                oracle::fault_campaign_seq(&nl, &sites, &wl, "o0", 2)
+            };
+            assert_eq!(auto, oracle.unwrap(), "seed {seed}: Auto vs the rebuild oracle");
+        }
     }
 
     /// The scalar replay the golden run's recording replaced, kept as its

@@ -529,7 +529,7 @@ pub struct BatchResult {
 /// Checks that a netlist contains no sequential cells (useful before
 /// single-pass combinational evaluation).
 #[must_use]
-pub fn is_combinational(nl: &Netlist) -> bool {
+pub(crate) fn is_combinational(nl: &Netlist) -> bool {
     !nl.cells().any(|(_, c)| matches!(c.kind(), CellKind::Dff | CellKind::DffE))
 }
 

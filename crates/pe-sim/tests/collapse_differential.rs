@@ -76,7 +76,7 @@ fn fuzz_workload(inputs: usize, count: usize, seed: u64) -> Vec<Vec<(String, i64
 }
 
 const WIDTHS: [LaneWidth; 2] = [LaneWidth::W1, LaneWidth::W4];
-const MODES: [ConeMode; 3] = [ConeMode::Auto, ConeMode::Always, ConeMode::Never];
+const MODES: [ConeMode; 2] = [ConeMode::Auto, ConeMode::Never];
 
 /// Full vs. collapsed sequential campaign, every width × cone mode.
 fn assert_seq_collapsed_identical(

@@ -315,7 +315,7 @@ fn sequential_svm_style_agrees() {
 
 #[test]
 fn cone_scheduled_campaigns_agree_with_references_at_every_width() {
-    // ConeMode::Always forces every chunk through the fanout-cone pass
+    // ConeMode::Auto sends every chunk through the fanout-cone pass
     // (frontier loaded from the golden trajectory); ConeMode::Never is the
     // dense sweep the suite above locks to the oracle. Both must produce
     // the same report at every slab width, comb and seq.
@@ -330,7 +330,7 @@ fn cone_scheduled_campaigns_agree_with_references_at_every_width() {
     let soracle = oracle::fault_campaign_seq(&snl, &ssites, &swl, "o1", 3).unwrap();
 
     for width in LaneWidth::ALL {
-        for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
+        for mode in [ConeMode::Auto, ConeMode::Never] {
             let (comb, cs) =
                 fault_campaign_comb_ppsfp_wide_obs(&cnl, &csites, &cwl, "o0", width, mode, None)
                     .unwrap();
@@ -340,13 +340,12 @@ fn cone_scheduled_campaigns_agree_with_references_at_every_width() {
                     .unwrap();
             assert_eq!(seq, soracle, "seq {mode:?} at W={width} diverged from the oracle");
             match mode {
-                ConeMode::Always => {
-                    assert_eq!(cs.fallback_chunks + ss.fallback_chunks, 0, "Always fell back");
+                ConeMode::Auto => {
+                    assert_eq!(cs.fallback_chunks + ss.fallback_chunks, 0, "Auto fell back");
                 }
                 ConeMode::Never => {
                     assert_eq!(cs.cone_chunks + ss.cone_chunks, 0, "Never took the cone path");
                 }
-                ConeMode::Auto => {}
             }
         }
     }
@@ -371,11 +370,11 @@ fn cone_scheduled_ragged_site_counts_agree() {
     for count in [1usize, 63, 64, 65, 511, 513] {
         let sites = &all[..count];
         let width = if count > 64 { LaneWidth::W8 } else { LaneWidth::W1 };
-        let (cone, stats) = seq(sites, width, ConeMode::Always);
+        let (cone, stats) = seq(sites, width, ConeMode::Auto);
         let (dense, _) = seq(sites, width, ConeMode::Never);
         assert_eq!(cone, dense, "{count} sites diverged under cone scheduling");
         assert_eq!(cone.total, count);
-        assert_eq!(stats.cone_chunks, stats.chunks, "Always must run every chunk through cones");
+        assert_eq!(stats.cone_chunks, stats.chunks, "Auto must run every chunk through cones");
     }
 }
 
@@ -397,7 +396,7 @@ fn cone_scheduled_mixed_register_and_comb_sites_agree() {
     assert!(sites.len() > 64, "the first word must mix register and comb sites");
     let workload = fuzz_workload(5, 10, 33);
     let cone = |sites: &[FaultSite]| {
-        let (w1, mode) = (LaneWidth::W1, ConeMode::Always);
+        let (w1, mode) = (LaneWidth::W1, ConeMode::Auto);
         fault_campaign_seq_ppsfp_wide_obs(&nl, sites, &workload, "o2", 2, w1, mode, None).unwrap()
     };
     let (whole, _) = cone(&sites);
@@ -443,19 +442,16 @@ fn multi_chunk_golden_runs_agree_with_the_oracle() {
         let shead = oracle::fault_campaign_seq(&snl, &ssites, head, "o1", 3).unwrap();
         assert!(coracle.critical > chead.critical, "{count} comb entries: later words idle");
         assert!(soracle.critical > shead.critical, "{count} seq entries: later words idle");
-        for mode in [ConeMode::Auto, ConeMode::Always] {
-            let (comb, cs) =
-                fault_campaign_comb_ppsfp_wide_obs(&cnl, &csites, &wl, "o0", width, mode, None)
-                    .unwrap();
-            assert_eq!(comb, coracle, "comb {mode:?}, {count} entries at W={width}");
-            let (seq, ss) =
-                fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &wl, "o1", 3, width, mode, None)
-                    .unwrap();
-            assert_eq!(seq, soracle, "seq {mode:?}, {count} entries at W={width}");
-            if mode == ConeMode::Always {
-                assert_eq!(cs.cone_chunks + ss.cone_chunks, cs.chunks + ss.chunks);
-            }
-        }
+        let mode = ConeMode::Auto;
+        let (comb, cs) =
+            fault_campaign_comb_ppsfp_wide_obs(&cnl, &csites, &wl, "o0", width, mode, None)
+                .unwrap();
+        assert_eq!(comb, coracle, "comb, {count} entries at W={width}");
+        let (seq, ss) =
+            fault_campaign_seq_ppsfp_wide_obs(&snl, &ssites, &wl, "o1", 3, width, mode, None)
+                .unwrap();
+        assert_eq!(seq, soracle, "seq, {count} entries at W={width}");
+        assert_eq!(cs.cone_chunks + ss.cone_chunks, cs.chunks + ss.chunks);
     }
 }
 
@@ -489,7 +485,7 @@ fn ppsfp_chunks_do_not_contaminate_each_other() {
         }
         let sites: Vec<FaultSite> = order.iter().map(|&i| all[i]).collect();
         assert!(sites.len() > 2 * lanes, "need at least three chunks at W={width}");
-        for mode in [ConeMode::Always, ConeMode::Never, ConeMode::Auto] {
+        for mode in [ConeMode::Auto, ConeMode::Never] {
             let (got, stats) = fault_campaign_seq_ppsfp_wide_obs(
                 &nl, &sites, &workload, "o0", 2, width, mode, None,
             )
